@@ -215,20 +215,33 @@ impl ClusterClient {
     /// Merged SCAN over every readable node: the union of per-node
     /// results, each key's value taken from the node earliest in that
     /// key's ring walk (replicas agree after repair, so this is a
-    /// tie-break, not a consistency mechanism).
+    /// tie-break, not a consistency mechanism), cut to the first
+    /// `limit` keys.
+    ///
+    /// Each node streams (SCAN_STREAM: no frame cap on its range) at
+    /// most `limit` entries, which suffices: any key among the first
+    /// `limit` of the union is among the first `limit` of every node
+    /// holding it.
     pub(crate) fn merged_scan(
         &mut self,
         lo: u64,
         hi: u64,
+        limit: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
         self.stats.scans.fetch_add(1, Ordering::Relaxed);
+        // The wire's limit is a u32 in which 0 means unlimited.
+        let wire_limit = match u32::try_from(limit) {
+            Ok(0) => return Ok(Vec::new()),
+            Ok(n) => n,
+            Err(_) => 0,
+        };
         let mut merged: BTreeMap<u64, (usize, Vec<u8>)> = BTreeMap::new();
         let mut any_node = false;
         for node in 0..self.cfg.addrs.len() {
             if self.view.state(node) == NodeState::Down {
                 continue;
             }
-            let entries = match self.conn(node).and_then(|c| c.scan(lo, hi, 0)) {
+            let entries = match self.conn(node).and_then(|c| c.scan_all(lo, hi, wire_limit)) {
                 Ok(entries) => entries,
                 Err(e) if is_transport(&e) => {
                     self.fail_node(node);
@@ -254,7 +267,11 @@ impl ClusterClient {
         if !any_node {
             return Err(StoreError::Unroutable { key: lo });
         }
-        Ok(merged.into_iter().map(|(k, (_, v))| (k, v)).collect())
+        Ok(merged
+            .into_iter()
+            .take(limit)
+            .map(|(k, (_, v))| (k, v))
+            .collect())
     }
 }
 

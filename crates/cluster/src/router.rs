@@ -260,7 +260,7 @@ impl ClusterClient {
     /// from a key that was never re-homed, so the drain resurrects
     /// it; see OPERATIONS.md.
     pub fn drain(&mut self, i: usize) -> Result<usize, StoreError> {
-        let entries = match self.conn(i).and_then(|c| c.scan(0, u64::MAX, 0)) {
+        let entries = match self.conn(i).and_then(|c| c.scan_all(0, u64::MAX, 0)) {
             Ok(entries) => entries,
             Err(e) if crate::replicator::is_transport(&e) => {
                 self.fail_node(i);
@@ -373,7 +373,18 @@ impl NvmKvStore for ClusterClient {
     }
 
     fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
-        self.merged_scan(lo, hi)
+        self.merged_scan(lo, hi, usize::MAX)
+    }
+
+    /// Sends `limit` to every node instead of scanning each node's
+    /// whole range and truncating here.
+    fn scan_limit(
+        &mut self,
+        lo: u64,
+        hi: u64,
+        limit: usize,
+    ) -> Result<Vec<(u64, Vec<u8>)>, StoreError> {
+        self.merged_scan(lo, hi, limit)
     }
 
     /// Aggregate device statistics are not carried by the binary

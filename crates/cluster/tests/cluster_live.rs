@@ -5,7 +5,7 @@
 //! repair actually re-fills a replica — is proven here.
 
 use e2nvm_cluster::{ClusterClient, ClusterConfig, NodeState};
-use e2nvm_kvstore::{NvmKvStore, StoreError};
+use e2nvm_kvstore::{NvmKvStore, StoreError, WearSummary};
 use e2nvm_server::demo::{demo_store, demo_store_with_fault};
 use e2nvm_server::{Client, Server, ServerConfig, ServerHandle};
 use e2nvm_sim::FaultConfig;
@@ -273,6 +273,104 @@ fn wear_crossing_threshold_drains_the_node_before_it_dies() {
             cluster.get(*key).expect("get post-drain").as_deref(),
             Some(value.as_slice()),
             "acked key {key} lost across the wear drain"
+        );
+    }
+
+    cluster.shutdown_all();
+    for h in handles {
+        h.join();
+    }
+}
+
+/// Device reads a server reports in its STATS document.
+fn device_reads(client: &mut Client) -> u64 {
+    let stats = client.stats().expect("stats");
+    let tail = &stats[stats.find("\"reads\":").expect("reads field") + 8..];
+    tail[..tail.find(',').expect("field end")]
+        .parse()
+        .expect("reads is a number")
+}
+
+/// Cluster scans and drains stream from every node, so a node whose
+/// range encodes past its frame cap (where a legacy SCAN answers
+/// SCAN_TOO_LARGE) is still scanned and drained; and a limited scan
+/// sends its limit to each node instead of reading the node's whole
+/// range.
+#[test]
+fn scans_and_drains_stream_past_the_frame_cap_and_send_the_limit() {
+    let config = ServerConfig::builder()
+        .max_frame_body(2048)
+        .scan_chunk_bytes(512)
+        .build()
+        .expect("valid server config");
+    let handles: Vec<ServerHandle> = (0..3)
+        .map(|i| {
+            Server::new(demo_store(2, 256, 64, 11 + i as u64), config.clone())
+                .start()
+                .expect("server binds an ephemeral port")
+        })
+        .collect();
+    let addrs: Vec<String> = handles.iter().map(|h| h.local_addr().to_string()).collect();
+    let mut cluster = cluster_over(&addrs, 2, false);
+
+    let mut shadow: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+    for key in 0..90u64 {
+        let value = vec![key as u8; 48];
+        cluster.put(key, &value).expect("replicated put");
+        shadow.insert(key, value);
+    }
+    let mut direct: Vec<Client> = addrs
+        .iter()
+        .map(|a| Client::connect(a).expect("direct connect"))
+        .collect();
+    // Precondition: every node's range is past its frame cap.
+    for client in &mut direct {
+        let err = client
+            .scan(0, u64::MAX, 0)
+            .expect_err("over-cap legacy SCAN must error");
+        assert!(err.to_string().contains("scan_too_large"), "{err}");
+    }
+
+    let expect: Vec<(u64, Vec<u8>)> = shadow.iter().map(|(k, v)| (*k, v.clone())).collect();
+    assert_eq!(cluster.scan(0, u64::MAX).expect("merged scan"), expect);
+
+    // Each node holds at least `limit` keys of the range, so each
+    // reads exactly `limit` records from its device.
+    let limit = 7;
+    let before: Vec<u64> = direct.iter_mut().map(device_reads).collect();
+    let page = cluster.scan_limit(10, 80, limit).expect("limited scan");
+    let expect: Vec<(u64, Vec<u8>)> = shadow
+        .range(10..=80)
+        .take(limit)
+        .map(|(k, v)| (*k, v.clone()))
+        .collect();
+    assert_eq!(page, expect);
+    for (node, client) in direct.iter_mut().enumerate() {
+        assert_eq!(
+            device_reads(client) - before[node],
+            limit as u64,
+            "node {node} read more than the limit"
+        );
+    }
+
+    // A key only node 0 holds must be re-homed by its drain.
+    direct[0].put(1000, b"only-on-node-0").expect("direct put");
+    let worn = WearSummary {
+        retired_segments: 256,
+        total_segments: 256,
+        ..WearSummary::default()
+    };
+    assert_eq!(
+        cluster.view().record_probe(0, worn, 0.02),
+        NodeState::Draining
+    );
+    assert_eq!(cluster.drain(0).expect("drain over the frame cap"), 1);
+    shadow.insert(1000, b"only-on-node-0".to_vec());
+    for (key, value) in &shadow {
+        assert_eq!(
+            cluster.get(*key).expect("get after drain").as_deref(),
+            Some(value.as_slice()),
+            "key {key} lost across the drain"
         );
     }
 

@@ -11,7 +11,7 @@ use crate::model::E2Model;
 use crate::retrain::BackgroundRetrainer;
 use e2nvm_sim::{DeviceStats, WriteReport};
 use e2nvm_telemetry::{Event, TelemetryRegistry};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,12 +129,7 @@ impl SharedEngine {
 
     /// SCAN over an inclusive key range.
     pub fn scan(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.inner.engine.lock().scan(lo..=hi)
-    }
-
-    /// SCAN over an inclusive key range, stopping after `limit` entries.
-    pub fn scan_limit(&self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.inner.engine.lock().scan_limit(lo..=hi, limit)
+        self.inner.engine.lock().scan_limit(lo..=hi, usize::MAX)
     }
 
     /// Advance the lazy-retraining state machine. Called automatically
@@ -241,6 +236,13 @@ impl SharedEngine {
     /// Run a closure with exclusive engine access (admin operations).
     pub fn with_engine<T>(&self, f: impl FnOnce(&mut E2Engine) -> T) -> T {
         f(&mut self.inner.engine.lock())
+    }
+
+    /// Take the engine lock and hand back its guard, for callers that
+    /// must hold several shards' locks at once (the cross-shard scan).
+    /// Such callers take engine locks in ascending shard order only.
+    pub(crate) fn lock(&self) -> MutexGuard<'_, E2Engine> {
+        self.inner.engine.lock()
     }
 }
 

@@ -29,7 +29,7 @@ use std::time::Instant;
 /// byte offset within it (nonzero only for values packed by the
 /// batched small-value path), and how long it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
+pub(crate) struct Entry {
     seg: LogicalSegment,
     off: usize,
     len: usize,
@@ -584,8 +584,22 @@ impl E2Engine {
     /// GET: read the value back.
     pub fn get(&mut self, key: u64) -> Result<Vec<u8>> {
         let entry = *self.index.get(&key).ok_or(E2Error::KeyNotFound(key))?;
+        self.read_entry(entry)
+    }
+
+    /// Read one indexed value from the device: exactly one device read.
+    pub(crate) fn read_entry(&mut self, entry: Entry) -> Result<Vec<u8>> {
         let data = self.controller.read(entry.seg)?;
         Ok(data[entry.off..entry.off + entry.len].to_vec())
+    }
+
+    /// The index entries with keys in `range`, in key order. Index
+    /// only: no device access, so walking it costs no reads or energy.
+    pub(crate) fn index_range<R: RangeBounds<u64>>(
+        &self,
+        range: R,
+    ) -> impl Iterator<Item = (u64, Entry)> + '_ {
+        self.index.range(range).map(|(&k, &e)| (k, e))
     }
 
     /// DELETE (Algorithm 2). Returns true if the key existed.
@@ -611,18 +625,10 @@ impl E2Engine {
         range: R,
         limit: usize,
     ) -> Result<Vec<(u64, Vec<u8>)>> {
-        let entries: Vec<(u64, Entry)> = self
-            .index
-            .range(range)
-            .take(limit)
-            .map(|(&k, &e)| (k, e))
-            .collect();
+        let entries: Vec<(u64, Entry)> = self.index_range(range).take(limit).collect();
         entries
             .into_iter()
-            .map(|(k, e)| {
-                let data = self.controller.read(e.seg)?;
-                Ok((k, data[e.off..e.off + e.len].to_vec()))
-            })
+            .map(|(k, e)| Ok((k, self.read_entry(e)?)))
             .collect()
     }
 

@@ -190,32 +190,42 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// SCAN over an inclusive key range: every shard contributes its
-    /// matches (keys are hash-routed, so any shard may hold any part of
-    /// the range), merged into key order.
+    /// SCAN over an inclusive key range, merged into key order across
+    /// shards. Same path as [`ShardedEngine::scan_limit`], unbounded.
     pub fn scan(&self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.scan(lo, hi)?);
-        }
-        // Shards hold disjoint keys, so an unstable sort is safe.
-        out.sort_unstable_by_key(|(k, _)| *k);
-        Ok(out)
+        self.scan_limit(lo, hi, usize::MAX)
     }
 
-    /// SCAN stopping after `limit` entries in global key order. Keys
-    /// are hash-routed, so any shard may hold any of the `limit`
-    /// smallest matches: each shard contributes up to `limit` entries
-    /// (early-stopped inside its index walk), then the merged result is
-    /// truncated.
+    /// SCAN returning the first `limit` entries of `lo..=hi` in global
+    /// key order, with exactly one device read per returned entry.
+    ///
+    /// Keys are hash-routed, so any shard may hold any of the winners.
+    /// Phase 1 walks the shards' key indexes only (no device access):
+    /// each shard offers its first `limit` keys of the range, and the
+    /// merge keeps the first `limit` overall. Phase 2 reads exactly
+    /// those entries through their own shards' controllers.
+    ///
+    /// Every shard's engine lock is held across both phases, so the
+    /// result is one atomic cut across shards: a key deleted
+    /// concurrently cannot leave a hole between the phases, and fewer
+    /// than `limit` entries means the range is exhausted. Lock order
+    /// (DESIGN.md §5): engine locks are taken in ascending shard order
+    /// only, and never followed by a WAL lock (writers take WAL →
+    /// engine; scans take no WAL lock), so this cannot deadlock.
     pub fn scan_limit(&self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for shard in &self.shards {
-            out.extend(shard.scan_limit(lo, hi, limit)?);
+        let mut engines: Vec<_> = self.shards.iter().map(SharedEngine::lock).collect();
+        let mut picks = Vec::new();
+        for (shard, engine) in engines.iter().enumerate() {
+            let range = engine.index_range(lo..=hi).take(limit);
+            picks.extend(range.map(|(key, entry)| (key, shard, entry)));
         }
-        out.sort_unstable_by_key(|(k, _)| *k);
-        out.truncate(limit);
-        Ok(out)
+        // Shards hold disjoint keys, so an unstable sort is safe.
+        picks.sort_unstable_by_key(|&(key, ..)| key);
+        picks.truncate(limit);
+        picks
+            .into_iter()
+            .map(|(key, shard, entry)| Ok((key, engines[shard].read_entry(entry)?)))
+            .collect()
     }
 
     /// Advance every shard's lazy-retraining state machine.

@@ -239,19 +239,7 @@ impl NvmKvStore for E2KvStore {
     }
 
     fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.telemetry.scans.inc();
-        let locs: Vec<(u64, Loc)> = self
-            .index
-            .range(lo, hi)
-            .into_iter()
-            .map(|(k, loc)| (k, *loc))
-            .collect();
-        locs.into_iter()
-            .map(|(k, loc)| {
-                let data = self.engine.controller_mut().read(loc.seg)?;
-                Ok((k, data[loc.off..loc.off + loc.len].to_vec()))
-            })
-            .collect()
+        self.scan_limit(lo, hi, usize::MAX)
     }
 
     fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
@@ -834,10 +822,11 @@ impl NvmKvStore for ShardedE2KvStore {
     }
 
     fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.telemetry.scans.inc();
-        Ok(self.engine.scan(lo, hi)?)
+        self.scan_limit(lo, hi, usize::MAX)
     }
 
+    /// The engine's two-phase scan (see [`ShardedEngine::scan_limit`]):
+    /// one device read per returned entry, one atomic cut across shards.
     fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
         self.telemetry.scans.inc();
         Ok(self.engine.scan_limit(lo, hi, limit)?)

@@ -26,6 +26,7 @@ use crate::telemetry::ServerTelemetry;
 use e2nvm_core::E2Error;
 use e2nvm_kvstore::{CachedKvStore, NvmKvStore, ShardedE2KvStore, StoreError};
 use e2nvm_telemetry::TelemetryRegistry;
+use std::ops::ControlFlow;
 
 /// What the connection handlers serve from: the bare sharded store, or
 /// the same store behind a read-through cache. Clones share both the
@@ -407,14 +408,14 @@ impl ExecCtx {
     /// request, appending chunk frames to `outbuf` and invoking the
     /// flush hook (when present) after every non-terminal chunk.
     ///
-    /// The result is paged out of the store [`SCAN_PAGE`] entries at a
-    /// time and re-split at the configured chunk byte bound, so peak
-    /// memory is one page plus one chunk regardless of range size
-    /// (when the hook flushes; without a hook, `outbuf` accumulates
-    /// the chunks under the caller's backpressure). A store error
-    /// mid-stream terminates the stream with an error frame echoing
-    /// SCAN_STREAM — frame-level, the connection survives. An `Err`
-    /// return means the flush hook reported a dead socket.
+    /// The result is paged out of the store by [`page_scan`] and
+    /// re-split at the configured chunk byte bound, so peak memory is
+    /// one page plus one chunk regardless of range size (when the hook
+    /// flushes; without a hook, `outbuf` accumulates the chunks under
+    /// the caller's backpressure). A store error mid-stream terminates
+    /// the stream with an error frame echoing SCAN_STREAM — frame-level,
+    /// the connection survives. An `Err` return means the flush hook
+    /// reported a dead socket.
     fn serve_scan_stream(
         &mut self,
         lo: u64,
@@ -423,74 +424,52 @@ impl ExecCtx {
         outbuf: &mut Vec<u8>,
         flush: &mut Option<FlushHook<'_>>,
     ) -> std::io::Result<()> {
-        let mut remaining = if limit == 0 {
-            u64::MAX
-        } else {
-            u64::from(limit)
-        };
-        let mut cursor = lo;
+        let chunk_cap = self.scan_chunk_bytes;
+        let telemetry = &self.telemetry;
         let mut chunk: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut chunk_bytes = 0usize;
         let mut chunks_emitted = 0u64;
-        while remaining > 0 && cursor <= hi {
-            let want = remaining.min(SCAN_PAGE as u64) as usize;
-            let page = match self.store.kv().scan_limit(cursor, hi, want) {
-                Ok(page) => page,
-                Err(e) => {
-                    // Mid-stream store error: terminal for the stream,
-                    // survivable for the connection. Entries already
-                    // emitted stand; the peer sees the typed error in
-                    // place of the final chunk.
-                    let resp = store_error_frame(&e);
-                    if let Response::Error { status, .. } = &resp {
-                        self.telemetry.count_error(*status);
-                    }
-                    encode_response(&resp, Some(Opcode::ScanStream), outbuf);
-                    return Ok(());
-                }
-            };
-            let got = page.len();
-            let last_key = page.last().map(|&(k, _)| k);
-            for (k, v) in page {
-                let entry_bytes = 12 + v.len();
-                if !chunk.is_empty() && chunk_bytes + entry_bytes > self.scan_chunk_bytes {
-                    // At least one more entry (this one) follows.
-                    encode_scan_chunk(true, &chunk, outbuf);
-                    chunks_emitted += 1;
-                    self.note_chunk(chunks_emitted);
-                    chunk.clear();
-                    chunk_bytes = 0;
-                    if let Some(f) = flush.as_mut() {
-                        f(outbuf)?;
+        let paged = page_scan(self.store.kv(), lo, hi, limit, |k, v| {
+            let entry_bytes = 12 + v.len();
+            if !chunk.is_empty() && chunk_bytes + entry_bytes > chunk_cap {
+                // At least one more entry (this one) follows.
+                encode_scan_chunk(true, &chunk, outbuf);
+                chunks_emitted += 1;
+                note_chunk(telemetry, chunks_emitted);
+                chunk.clear();
+                chunk_bytes = 0;
+                if let Some(f) = flush.as_mut() {
+                    if let Err(e) = f(outbuf) {
+                        return ControlFlow::Break(e);
                     }
                 }
-                chunk_bytes += entry_bytes;
-                chunk.push((k, v));
             }
-            remaining -= got as u64;
-            if got < want {
-                break;
-            }
-            match last_key {
-                Some(k) if k < hi => cursor = k + 1,
-                _ => break,
+            chunk_bytes += entry_bytes;
+            chunk.push((k, v));
+            ControlFlow::Continue(())
+        });
+        match paged {
+            Ok(ControlFlow::Continue(())) => {}
+            Ok(ControlFlow::Break(e)) => return Err(e),
+            Err(e) => {
+                // Mid-stream store error: terminal for the stream,
+                // survivable for the connection. Entries already
+                // emitted stand; the peer sees the typed error in
+                // place of the final chunk.
+                let resp = store_error_frame(&e);
+                if let Response::Error { status, .. } = &resp {
+                    self.telemetry.count_error(*status);
+                }
+                encode_response(&resp, Some(Opcode::ScanStream), outbuf);
+                return Ok(());
             }
         }
         // Terminal chunk: whatever is left (possibly nothing — an
         // empty range is one empty final chunk).
         encode_scan_chunk(false, &chunk, outbuf);
         chunks_emitted += 1;
-        self.note_chunk(chunks_emitted);
+        note_chunk(&self.telemetry, chunks_emitted);
         Ok(())
-    }
-
-    /// Telemetry for one emitted chunk: count it, and count the
-    /// response as multi-chunk when its second chunk goes out.
-    fn note_chunk(&self, emitted_for_response: u64) {
-        self.telemetry.scan_stream_chunks.inc();
-        if emitted_for_response == 2 {
-            self.telemetry.scan_stream_multi_chunk.inc();
-        }
     }
 
     /// Serve a legacy single-frame SCAN, paging the store like the
@@ -500,48 +479,30 @@ impl ExecCtx {
     /// would exceed the frame cap answers [`Status::ScanTooLarge`]
     /// (emitting the over-cap frame would poison the peer's decoder).
     fn bounded_scan(&mut self, lo: u64, hi: u64, limit: u32) -> Response {
-        let mut remaining = if limit == 0 {
-            u64::MAX
-        } else {
-            u64::from(limit)
-        };
-        let mut cursor = lo;
+        let cap = self.max_frame_body;
         let mut entries: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut body_bytes = 4usize;
-        while remaining > 0 && cursor <= hi {
-            let want = remaining.min(SCAN_PAGE as u64) as usize;
-            let page = match self.store.kv().scan_limit(cursor, hi, want) {
-                Ok(page) => page,
-                Err(e) => return store_error_frame(&e),
-            };
-            let got = page.len();
-            let last_key = page.last().map(|&(k, _)| k);
-            for (k, v) in page {
-                body_bytes += 12 + v.len();
-                if body_bytes > self.max_frame_body {
-                    return Response::Error {
-                        status: Status::ScanTooLarge,
-                        retired: 0,
-                        message: format!(
-                            "scan result exceeds the {}-byte frame cap after {} entries; \
-                             use SCAN_STREAM (opcode 0x09) for unbounded ranges",
-                            self.max_frame_body,
-                            entries.len(),
-                        ),
-                    };
-                }
-                entries.push((k, v));
+        let paged = page_scan(self.store.kv(), lo, hi, limit, |k, v| {
+            body_bytes += 12 + v.len();
+            if body_bytes > cap {
+                return ControlFlow::Break(());
             }
-            remaining -= got as u64;
-            if got < want {
-                break;
-            }
-            match last_key {
-                Some(k) if k < hi => cursor = k + 1,
-                _ => break,
-            }
+            entries.push((k, v));
+            ControlFlow::Continue(())
+        });
+        match paged {
+            Ok(ControlFlow::Continue(())) => Response::Entries(entries),
+            Ok(ControlFlow::Break(())) => Response::Error {
+                status: Status::ScanTooLarge,
+                retired: 0,
+                message: format!(
+                    "scan result exceeds the {cap}-byte frame cap after {} entries; \
+                     use SCAN_STREAM (opcode 0x09) for unbounded ranges",
+                    entries.len(),
+                ),
+            },
+            Err(e) => store_error_frame(&e),
         }
-        Response::Entries(entries)
     }
 
     fn handle(&mut self, req: Request) -> Response {
@@ -617,6 +578,56 @@ impl ExecCtx {
             s.latency_ns,
             s.swaps,
         )
+    }
+}
+
+/// The scan loop behind both SCAN and SCAN_STREAM: page `lo..=hi`
+/// out of `store` [`SCAN_PAGE`] entries at a time, handing each entry
+/// to `each` in key order, until `limit` entries (0 = unlimited) have
+/// gone out, the range is exhausted, or `each` breaks (its break value
+/// is returned). A short page ends the walk: the sharded store's scan
+/// is an exact prefix of the range, taken as one atomic cut.
+fn page_scan<B>(
+    store: &mut dyn NvmKvStore,
+    lo: u64,
+    hi: u64,
+    limit: u32,
+    mut each: impl FnMut(u64, Vec<u8>) -> ControlFlow<B>,
+) -> Result<ControlFlow<B>, StoreError> {
+    let mut remaining = if limit == 0 {
+        u64::MAX
+    } else {
+        u64::from(limit)
+    };
+    let mut cursor = lo;
+    while remaining > 0 && cursor <= hi {
+        let want = remaining.min(SCAN_PAGE as u64) as usize;
+        let page = store.scan_limit(cursor, hi, want)?;
+        let got = page.len();
+        let last_key = page.last().map(|&(k, _)| k);
+        for (k, v) in page {
+            if let ControlFlow::Break(b) = each(k, v) {
+                return Ok(ControlFlow::Break(b));
+            }
+        }
+        remaining -= got as u64;
+        if got < want {
+            break;
+        }
+        match last_key {
+            Some(k) if k < hi => cursor = k + 1,
+            _ => break,
+        }
+    }
+    Ok(ControlFlow::Continue(()))
+}
+
+/// Telemetry for one emitted SCAN_STREAM chunk: count it, and count
+/// the response as multi-chunk when its second chunk goes out.
+fn note_chunk(telemetry: &ServerTelemetry, emitted_for_response: u64) {
+    telemetry.scan_stream_chunks.inc();
+    if emitted_for_response == 2 {
+        telemetry.scan_stream_multi_chunk.inc();
     }
 }
 

@@ -1,15 +1,20 @@
 //! Integration tests for the sharded serving engine: cross-shard
 //! correctness under concurrency, per-key consistency, scan merging,
-//! and the stats-aggregation property (merged shard stats must equal a
+//! scan read conservation (one device read per returned record), and
+//! the stats-aggregation property (merged shard stats must equal a
 //! single engine's stats for the same write sequence routed to one
 //! shard).
 
 use e2nvm::core::{E2Config, E2Engine, PaddingType, ShardedEngine};
+use e2nvm::kvstore::{NvmKvStore, ShardedE2KvStore};
+use e2nvm::persist::{FlushPolicy, PersistenceConfig};
 use e2nvm::sim::{partition_controllers, DeviceConfig, LogicalSegment, MemoryController};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::mpsc;
+use std::time::Duration;
 
 const SEG_BYTES: usize = 32;
 
@@ -187,6 +192,132 @@ fn sharded_matches_shadow_map_under_mixed_ops() {
         }
     }
     assert_eq!(engine.len(), shadow.len());
+}
+
+/// Conservation: a scan charges exactly one device read per record it
+/// returns — no shard reads values that lose the cross-shard merge —
+/// and returns exactly the oracle's first `limit` entries of the range.
+#[test]
+fn scan_reads_exactly_the_records_it_returns() {
+    for shards in [1usize, 2, 4, 8] {
+        let engine = sharded(shards, 256);
+        let mut oracle: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut rng = StdRng::seed_from_u64(shards as u64);
+        for _ in 0..140 {
+            let key = rng.gen_range(0..160u64);
+            if rng.gen_range(0..5) == 0 {
+                assert_eq!(engine.delete(key).unwrap(), oracle.remove(&key).is_some());
+            } else {
+                let v = value_for(key, rng.gen());
+                engine.put(key, &v).unwrap();
+                oracle.insert(key, v);
+            }
+        }
+        for case in 0..48 {
+            let (a, b) = (rng.gen_range(0..170u64), rng.gen_range(0..170u64));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let limit = match case {
+                0 => usize::MAX,
+                1 => 0,
+                _ => rng.gen_range(1..40usize),
+            };
+            let reads = engine.device_stats().reads;
+            let got = engine.scan_limit(lo, hi, limit).unwrap();
+            let charged = engine.device_stats().reads - reads;
+            assert_eq!(
+                charged,
+                got.len() as u64,
+                "shards={shards} scan({lo}, {hi}, {limit}) read {charged} for {} records",
+                got.len()
+            );
+            let expect: Vec<(u64, Vec<u8>)> = oracle
+                .range(lo..=hi)
+                .take(limit)
+                .map(|(k, v)| (*k, v.clone()))
+                .collect();
+            assert_eq!(got, expect, "shards={shards} scan({lo}, {hi}, {limit})");
+        }
+        let reads = engine.device_stats().reads;
+        assert_eq!(engine.scan(0, u64::MAX).unwrap().len(), oracle.len());
+        assert_eq!(engine.device_stats().reads - reads, oracle.len() as u64);
+    }
+}
+
+/// Two writers and a scanner on a persistence-enabled store: the scan
+/// holds every shard's engine lock while writers take WAL → engine (and
+/// the periodic snapshot takes every WAL, then each engine), so this
+/// must finish without deadlock; every scan must come back strictly
+/// ascending, inside its range and no longer than its limit.
+#[test]
+fn concurrent_writers_and_scanner_on_a_persistent_store() {
+    let dir = std::env::temp_dir().join(format!("e2nvm_scan_concurrency_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = PersistenceConfig::builder()
+        .data_dir(&dir)
+        .flush_policy(FlushPolicy::OsOnly)
+        .snapshot_every_ops(25)
+        .build()
+        .unwrap();
+    let store = ShardedE2KvStore::new(sharded(4, 256))
+        .with_persistence(cfg, None)
+        .unwrap();
+
+    let (done_tx, done_rx) = mpsc::channel::<&'static str>();
+    let writing = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(2));
+    let mut threads = Vec::new();
+    for t in 0..2u64 {
+        let mut s = store.clone();
+        let (done, writing) = (done_tx.clone(), writing.clone());
+        threads.push(std::thread::spawn(move || {
+            for i in 0..60u64 {
+                let key = t * 64 + i % 40;
+                if i % 5 == 4 {
+                    s.delete(key).unwrap();
+                } else {
+                    s.put(key, &value_for(key, i as u8)).unwrap();
+                }
+                s.commit().unwrap();
+            }
+            writing.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+            done.send("writer").unwrap();
+        }));
+    }
+    {
+        let mut s = store.clone();
+        let done = done_tx.clone();
+        threads.push(std::thread::spawn(move || {
+            let mut rng = StdRng::seed_from_u64(17);
+            let mut scans = 0;
+            while writing.load(std::sync::atomic::Ordering::SeqCst) > 0 || scans < 20 {
+                let lo = rng.gen_range(0..128u64);
+                let hi = lo + rng.gen_range(0..64u64);
+                let limit = rng.gen_range(1..24usize);
+                let got = s.scan_limit(lo, hi, limit).unwrap();
+                assert!(
+                    got.len() <= limit,
+                    "scan({lo}, {hi}, {limit}) returned {}",
+                    got.len()
+                );
+                assert!(got.iter().all(|&(k, _)| (lo..=hi).contains(&k)));
+                assert!(
+                    got.windows(2).all(|w| w[0].0 < w[1].0),
+                    "not strictly ascending"
+                );
+                scans += 1;
+            }
+            done.send("scanner").unwrap();
+        }));
+    }
+    drop(done_tx);
+    for _ in 0..3 {
+        done_rx
+            .recv_timeout(Duration::from_secs(300))
+            .expect("writers and scanner finish: no deadlock");
+    }
+    for t in threads {
+        t.join().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Build the single-engine twin of shard 0 of `sharded(num_shards, total)`:
