@@ -151,31 +151,21 @@ impl E2Engine {
         &self.cfg
     }
 
-    /// Snapshot the contents of every *free* segment. Before the first
-    /// training, every segment is free; afterwards the DAP's membership
-    /// table is the source of truth (placements may be made through
+    /// Every *free* segment. Before the first training, every
+    /// unretired segment is free; afterwards the DAP's membership table
+    /// is the source of truth (placements may be made through
     /// [`E2Engine::place_value`] by callers that keep their own index,
     /// e.g. the node stores in `e2nvm-kvstore`, so the key index alone
     /// cannot be trusted here).
-    fn free_snapshot(&self) -> Vec<(LogicalSegment, Vec<u8>)> {
-        let free: Vec<LogicalSegment> = if self.model.is_some() {
+    fn free_segments(&self) -> Vec<LogicalSegment> {
+        if self.model.is_some() {
             self.dap.free_segments()
         } else {
             (0..self.controller.num_segments())
                 .map(LogicalSegment)
                 .filter(|&seg| !self.dap.is_retired(seg))
                 .collect()
-        };
-        free.into_iter()
-            .map(|seg| {
-                let content = self
-                    .controller
-                    .peek(seg)
-                    .expect("segment in range")
-                    .to_vec();
-                (seg, content)
-            })
-            .collect()
+        }
     }
 
     /// Replace the padding strategy. For [`crate::padding::PaddingType::Learned`] the
@@ -189,7 +179,8 @@ impl E2Engine {
         self.cfg.padding_type = ptype;
         self.padder = Padder::new(location, ptype);
         if ptype == crate::padding::PaddingType::Learned && self.model.is_some() {
-            let contents: Vec<Vec<u8>> = self.free_snapshot().into_iter().map(|(_, c)| c).collect();
+            let free = self.free_segments();
+            let contents = peek_all(&self.controller, &free);
             self.padder.train_learned(&contents, 10, &mut self.rng);
         }
     }
@@ -198,14 +189,14 @@ impl E2Engine {
     /// and rebuild the dynamic address pool. This is the synchronous
     /// path; see [`crate::retrain`] for the background variant.
     pub fn train(&mut self) -> Result<()> {
-        let free = self.free_snapshot();
+        let free = self.free_segments();
         if free.is_empty() {
             return Err(E2Error::OutOfSpace);
         }
         let shard = self.telemetry.shard();
         self.telemetry.record_event(Event::RetrainStarted { shard });
         let started = Instant::now();
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
+        let contents = peek_all(&self.controller, &free);
         let model = E2Model::train(&self.cfg, &contents, &mut self.rng);
         let loss = model.history().train.last().map(|l| f64::from(l.total()));
         self.install_model(model, &free);
@@ -229,14 +220,8 @@ impl E2Engine {
             )));
         }
         let indexer = IncrementalIndexer::new(total, initial);
-        let free: Vec<(LogicalSegment, Vec<u8>)> = indexer
-            .initial_range()
-            .map(|seg| {
-                let content = self.controller.peek(seg).expect("in range").to_vec();
-                (seg, content)
-            })
-            .collect();
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
+        let free: Vec<LogicalSegment> = indexer.initial_range().collect();
+        let contents = peek_all(&self.controller, &free);
         let model = E2Model::train(&self.cfg, &contents, &mut self.rng);
         self.install_model(model, &free);
         self.incremental = Some(indexer);
@@ -253,10 +238,7 @@ impl E2Engine {
             return Ok(0);
         };
         let new_segments = indexer.take_next(count);
-        let contents: Vec<Vec<u8>> = new_segments
-            .iter()
-            .map(|&seg| self.controller.peek(seg).expect("in range").to_vec())
-            .collect();
+        let contents = peek_all(&self.controller, &new_segments);
         let assignments = model.classify_segments(&contents);
         for (&seg, cluster) in new_segments.iter().zip(assignments) {
             self.dap.push(cluster, seg)?;
@@ -268,11 +250,11 @@ impl E2Engine {
     /// energy valley, Figure 8) and train with the energy-optimal K.
     /// Returns the chosen K.
     pub fn train_auto_k(&mut self, candidates: &[usize], est_writes: u64) -> Result<usize> {
-        let free = self.free_snapshot();
+        let free = self.free_segments();
         if free.is_empty() {
             return Err(E2Error::OutOfSpace);
         }
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
+        let contents = peek_all(&self.controller, &free);
         let selection = crate::kselect::sweep_k(
             &self.cfg,
             &contents,
@@ -290,17 +272,16 @@ impl E2Engine {
     /// Install an externally trained model (from the background
     /// retrainer) and rebuild the DAP against the current free set.
     pub fn install_model_now(&mut self, model: E2Model) {
-        let free = self.free_snapshot();
+        let free = self.free_segments();
         self.install_model(model, &free);
     }
 
-    fn install_model(&mut self, model: E2Model, free: &[(LogicalSegment, Vec<u8>)]) {
-        let contents: Vec<Vec<u8>> = free.iter().map(|(_, c)| c.clone()).collect();
+    fn install_model(&mut self, model: E2Model, free: &[LogicalSegment]) {
+        let contents = peek_all(&self.controller, free);
         let assignments = model.classify_segments(&contents);
-        let pairs: Vec<(LogicalSegment, usize)> =
-            free.iter().map(|(seg, _)| *seg).zip(assignments).collect();
+        let pairs: Vec<(LogicalSegment, usize)> = free.iter().copied().zip(assignments).collect();
         self.dap.rebuild(model.k(), &pairs);
-        // Refresh padding state from the snapshot.
+        // Refresh padding state from the free contents.
         let total_bits: u64 = contents.iter().map(|c| (c.len() * 8) as u64).sum();
         let ones: u64 = contents
             .iter()
@@ -710,7 +691,11 @@ impl E2Engine {
     /// Snapshot the free-segment contents (for the background
     /// retrainer).
     pub fn training_snapshot(&self) -> Vec<Vec<u8>> {
-        self.free_snapshot().into_iter().map(|(_, c)| c).collect()
+        let free = self.free_segments();
+        peek_all(&self.controller, &free)
+            .into_iter()
+            .map(<[u8]>::to_vec)
+            .collect()
     }
 
     /// Export the engine's durable state (model, retirement, index) for
@@ -812,17 +797,21 @@ impl E2Engine {
             .filter(|&(_, &count)| count >= 2)
             .map(|(&seg, &count)| (seg, count))
             .collect();
-        let free: Vec<(LogicalSegment, Vec<u8>)> = (0..num_segments)
+        let free: Vec<LogicalSegment> = (0..num_segments)
             .map(LogicalSegment)
             .filter(|seg| !self.dap.is_retired(*seg) && !per_seg.contains_key(seg))
-            .map(|seg| {
-                let content = self.controller.peek(seg).expect("in range").to_vec();
-                (seg, content)
-            })
             .collect();
         self.install_model(model, &free);
         Ok(())
     }
+}
+
+/// Borrow the contents of `segs` from the device, in order: training and
+/// classification read the pool in place instead of copying it.
+fn peek_all<'a>(controller: &'a MemoryController, segs: &[LogicalSegment]) -> Vec<&'a [u8]> {
+    segs.iter()
+        .map(|&seg| controller.peek(seg).expect("segment in range"))
+        .collect()
 }
 
 impl std::fmt::Debug for E2Engine {

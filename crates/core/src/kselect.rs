@@ -51,7 +51,7 @@ pub struct KSelection {
 /// Panics if `ks` or `contents` is empty.
 pub fn sweep_k<R: Rng>(
     base: &E2Config,
-    contents: &[Vec<u8>],
+    contents: &[impl AsRef<[u8]>],
     ks: &[usize],
     energy: &EnergyParams,
     est_writes: u64,
@@ -110,7 +110,11 @@ pub fn sweep_k<R: Rng>(
 
 /// Mean pairwise hamming distance within clusters (sampled: up to 64
 /// pairs per cluster to stay cheap on large pools).
-fn mean_intra_cluster_hamming(contents: &[Vec<u8>], assignments: &[usize], k: usize) -> f64 {
+fn mean_intra_cluster_hamming(
+    contents: &[impl AsRef<[u8]>],
+    assignments: &[usize],
+    k: usize,
+) -> f64 {
     let mut groups: Vec<Vec<usize>> = vec![Vec::new(); k];
     for (i, &c) in assignments.iter().enumerate() {
         groups[c].push(i);
@@ -129,7 +133,7 @@ fn mean_intra_cluster_hamming(contents: &[Vec<u8>], assignments: &[usize], k: us
         for p in 0..pairs {
             let a = group[p % group.len()];
             let b = group[(p + stride) % group.len()];
-            total += hamming(&contents[a], &contents[b]) as f64;
+            total += hamming(contents[a].as_ref(), contents[b].as_ref()) as f64;
             count += 1;
         }
     }
@@ -142,7 +146,7 @@ fn mean_intra_cluster_hamming(contents: &[Vec<u8>], assignments: &[usize], k: us
         let mut t = 0.0;
         let mut c = 0u64;
         for w in contents.windows(2).take(64) {
-            t += hamming(&w[0], &w[1]) as f64;
+            t += hamming(w[0].as_ref(), w[1].as_ref()) as f64;
             c += 1;
         }
         return t / c as f64;

@@ -3,11 +3,16 @@
 
 use crate::config::E2Config;
 use crate::padding::Padder;
-use e2nvm_ml::data::{segments_to_matrix, subsample_rows, train_val_split};
+use e2nvm_ml::data::{sample_indices, segments_to_matrix, train_val_split};
 use e2nvm_ml::persist::{Persist, PersistError, Reader, Writer};
 use e2nvm_ml::{ClusterModel, Matrix, TrainingHistory};
 use rand::Rng;
-use std::path::Path;
+
+/// Rows featurised per [`E2Model::classify_segments`] block. A fixed
+/// constant, not a config field: prediction is row-independent, so the
+/// block size changes only the transient feature buffer
+/// (`CLASSIFY_BLOCK × input_bits` f32s), never an assignment.
+const CLASSIFY_BLOCK: usize = 256;
 
 /// A trained placement model.
 #[derive(Debug, Clone)]
@@ -20,19 +25,26 @@ pub struct E2Model {
 impl E2Model {
     /// Train on a snapshot of memory-segment contents. Honors the
     /// config's `train_sample_cap` and holds out 10 % for validation
-    /// loss curves.
+    /// loss curves. The sample's rows are drawn before any featurising,
+    /// so only the (at most `train_sample_cap`) sampled segments are
+    /// ever expanded into f32 bit features.
     ///
     /// # Panics
     /// Panics if `contents` is empty or segment sizes disagree with the
     /// config.
-    pub fn train<R: Rng>(cfg: &E2Config, contents: &[Vec<u8>], rng: &mut R) -> Self {
+    pub fn train<R: Rng>(cfg: &E2Config, contents: &[impl AsRef<[u8]>], rng: &mut R) -> Self {
         assert!(!contents.is_empty(), "E2Model::train: no training data");
         assert!(
-            contents.iter().all(|c| c.len() == cfg.segment_bytes),
+            contents
+                .iter()
+                .all(|c| c.as_ref().len() == cfg.segment_bytes),
             "E2Model::train: contents must be whole segments"
         );
-        let all = segments_to_matrix(contents);
-        let capped = subsample_rows(&all, cfg.train_sample_cap, rng);
+        let sampled: Vec<&[u8]> = sample_indices(contents.len(), cfg.train_sample_cap, rng)
+            .into_iter()
+            .map(|i| contents[i].as_ref())
+            .collect();
+        let capped = segments_to_matrix(&sampled);
         let (train, val) = train_val_split(&capped, 0.1, rng);
         let val_opt: Option<&Matrix> = (val.rows() > 0).then_some(&val);
         let (cluster, history) = ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
@@ -62,13 +74,14 @@ impl E2Model {
         self.cluster.clusters_by_distance(&features)
     }
 
-    /// Classify whole segments (no padding needed).
-    pub fn classify_segments(&self, contents: &[Vec<u8>]) -> Vec<usize> {
-        if contents.is_empty() {
-            return Vec::new();
+    /// Classify whole segments (no padding needed), featurising
+    /// `CLASSIFY_BLOCK` (256) rows at a time.
+    pub fn classify_segments(&self, contents: &[impl AsRef<[u8]>]) -> Vec<usize> {
+        let mut out = Vec::with_capacity(contents.len());
+        for block in contents.chunks(CLASSIFY_BLOCK) {
+            out.extend(self.cluster.predict_batch(&segments_to_matrix(block)));
         }
-        let m = segments_to_matrix(contents);
-        self.cluster.predict_batch(&m)
+        out
     }
 
     /// Number of clusters.
@@ -119,26 +132,6 @@ impl E2Model {
             input_bits,
             history: TrainingHistory::default(),
         })
-    }
-
-    /// Save to a file.
-    #[deprecated(
-        note = "use the unified persistence facade: `e2nvm_persist::save_model` \
-                (re-exported as `e2nvm::persist::save_model`)"
-    )]
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_bytes())
-    }
-
-    /// Load from a file.
-    #[deprecated(
-        note = "use the unified persistence facade: `e2nvm_persist::load_model` \
-                (re-exported as `e2nvm::persist::load_model`)"
-    )]
-    pub fn load(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::from_bytes(&bytes)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 }
 
@@ -243,22 +236,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn save_load_file_roundtrip() {
-        let mut rng = seeded(10);
-        let contents = clustered_segments(20, 16, &mut rng);
-        let model = E2Model::train(&quick_cfg(), &contents, &mut rng);
-        let path = std::env::temp_dir().join("e2nvm_model_test.bin");
-        model.save(&path).unwrap();
-        let loaded = E2Model::load(&path).unwrap();
-        assert_eq!(
-            loaded.classify_segments(&contents),
-            model.classify_segments(&contents)
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn history_recorded() {
         let mut rng = seeded(4);
         let contents = clustered_segments(30, 16, &mut rng);
@@ -269,5 +246,88 @@ mod tests {
             cfg.pretrain_epochs + cfg.joint_epochs
         );
         assert!(!model.history().validation.is_empty());
+    }
+
+    /// The pre-sampling training path: featurise the whole pool, then
+    /// subsample rows of the matrix.
+    fn train_featurising_everything<R: Rng>(
+        cfg: &E2Config,
+        contents: &[Vec<u8>],
+        rng: &mut R,
+    ) -> E2Model {
+        let all = segments_to_matrix(contents);
+        let capped = if all.rows() <= cfg.train_sample_cap {
+            all
+        } else {
+            let mut idx: Vec<usize> = (0..all.rows()).collect();
+            for i in 0..cfg.train_sample_cap {
+                let j = rng.gen_range(i..idx.len());
+                idx.swap(i, j);
+            }
+            idx.truncate(cfg.train_sample_cap);
+            all.select_rows(&idx)
+        };
+        let (train, val) = train_val_split(&capped, 0.1, rng);
+        let val_opt: Option<&Matrix> = (val.rows() > 0).then_some(&val);
+        let (cluster, history) = ClusterModel::train(&cfg.dec_config(), &train, val_opt, rng);
+        E2Model {
+            cluster,
+            input_bits: cfg.input_bits(),
+            history,
+        }
+    }
+
+    #[test]
+    fn sampling_before_featurising_trains_the_same_model() {
+        let cap = 48;
+        let cfg = E2Config::builder()
+            .fast(16, 2)
+            .pretrain_epochs(3)
+            .joint_epochs(1)
+            .train_sample_cap(cap)
+            .build()
+            .unwrap();
+        for n_per in [cap / 4, cap / 2, cap] {
+            // Pools of cap/2, cap and 2·cap segments.
+            let contents = clustered_segments(n_per, 16, &mut seeded(20 + n_per as u64));
+            let mut rng_new = seeded(5);
+            let mut rng_old = seeded(5);
+            let new = E2Model::train(&cfg, &contents, &mut rng_new);
+            let old = train_featurising_everything(&cfg, &contents, &mut rng_old);
+            assert_eq!(new.to_bytes(), old.to_bytes(), "pool {}", contents.len());
+            assert_eq!(new.history().train, old.history().train);
+            assert_eq!(rng_new.gen::<u64>(), rng_old.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn block_classification_equals_one_batch() {
+        let mut rng = seeded(6);
+        let b = CLASSIFY_BLOCK;
+        let model = E2Model::train(
+            &quick_cfg(),
+            &clustered_segments(40, 16, &mut rng),
+            &mut rng,
+        );
+        // Families interleaved at random, so every block mixes clusters.
+        let pool: Vec<Vec<u8>> = (0..3 * b + 7)
+            .map(|_| {
+                let base = if rng.gen::<bool>() { 0x00u8 } else { 0xFF };
+                (0..16)
+                    .map(|_| if rng.gen::<f32>() < 0.2 { !base } else { base })
+                    .collect()
+            })
+            .collect();
+        for n in [0, 1, b - 1, b, b + 1, 3 * b + 7] {
+            let contents = &pool[..n];
+            let reference = if n == 0 {
+                Vec::new()
+            } else {
+                model.cluster.predict_batch(&segments_to_matrix(contents))
+            };
+            assert_eq!(model.classify_segments(contents), reference, "n = {n}");
+        }
+        let all = model.classify_segments(&pool);
+        assert!(all.contains(&0) && all.contains(&1), "degenerate model");
     }
 }

@@ -41,10 +41,11 @@ impl LearnedPadder {
 
     /// Train on resident memory contents: every 72-bit window of every
     /// segment yields one (64-bit input → next 8 bits) example.
-    pub fn train<R: Rng>(&mut self, segments: &[Vec<u8>], epochs: usize, rng: &mut R) {
+    pub fn train<R: Rng>(&mut self, segments: &[impl AsRef<[u8]>], epochs: usize, rng: &mut R) {
         // Collect (window, next-byte) examples at byte granularity.
         let mut windows: Vec<(&[u8], u8)> = Vec::new();
         for seg in segments {
+            let seg = seg.as_ref();
             if seg.len() <= WINDOW_BITS / 8 {
                 continue;
             }

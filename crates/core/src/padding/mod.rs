@@ -147,7 +147,12 @@ impl Padder {
     }
 
     /// Train the learned (LSTM) generator on resident memory contents.
-    pub fn train_learned<R: Rng>(&mut self, segments: &[Vec<u8>], epochs: usize, rng: &mut R) {
+    pub fn train_learned<R: Rng>(
+        &mut self,
+        segments: &[impl AsRef<[u8]>],
+        epochs: usize,
+        rng: &mut R,
+    ) {
         let mut padder = LearnedPadder::new(rng);
         padder.train(segments, epochs, rng);
         self.learned = Some(padder);

@@ -10,7 +10,7 @@ use crate::traits::NvmKvStore;
 use e2nvm_core::{Batch, BatchAccumulator, E2Config, E2Engine, E2Error, ShardedEngine};
 use e2nvm_persist::{
     replay_and_truncate, FlushPolicy, PersistTelemetry, PersistenceConfig, ShardState,
-    StoreSnapshot, Wal, WalOp, WalSyncer,
+    SnapshotWriter, StoreSnapshot, Wal, WalOp, WalSyncer,
 };
 use e2nvm_sim::{LogicalSegment, MemoryController};
 use e2nvm_telemetry::TelemetryRegistry;
@@ -465,11 +465,13 @@ impl ShardedE2KvStore {
     }
 
     /// Take a stop-the-world snapshot now: acquire every shard's WAL
-    /// lock (quiescing mutations), capture each shard's device image and
-    /// engine state, write the snapshot atomically, then truncate the
-    /// WALs. Returns the snapshot bytes written, or `Ok(0)` when no
-    /// persistence layer is attached (documented no-op, mirroring the
-    /// [`NvmKvStore::flush`] contract).
+    /// lock (quiescing mutations), then for each shard in order capture
+    /// its device image and engine state under its engine lock and
+    /// stream that block to the snapshot file before capturing the next
+    /// (so at most one shard's state is in memory), commit the file
+    /// atomically, then truncate the WALs. Returns the snapshot bytes
+    /// written, or `Ok(0)` when no persistence layer is attached
+    /// (documented no-op, mirroring the [`NvmKvStore::flush`] contract).
     ///
     /// A crash between the snapshot rename and the WAL truncation is
     /// safe: WAL records are full-value upserts/deletes, so replaying
@@ -479,21 +481,22 @@ impl ShardedE2KvStore {
             return Ok(0);
         };
         let mut wals: Vec<_> = p.wals.iter().map(Mutex::lock).collect();
-        let mut shards = Vec::with_capacity(self.engine.num_shards());
-        for i in 0..self.engine.num_shards() {
-            shards.push(
-                self.engine
-                    .with_shard_engine(i, |e| -> Result<ShardState> {
-                        let mc = e.controller();
-                        Ok(ShardState {
-                            device_image: e2nvm_sim::snapshot::to_image(mc.device()),
-                            state: e.export_state()?,
-                            controller: Some(mc.export_state()),
-                        })
-                    })?,
-            );
+        let shards = self.engine.num_shards();
+        let mut out = SnapshotWriter::create(&p.cfg.snapshot_path(), shards)?;
+        for i in 0..shards {
+            let shard = self
+                .engine
+                .with_shard_engine(i, |e| -> Result<ShardState> {
+                    let mc = e.controller();
+                    Ok(ShardState {
+                        device_image: e2nvm_sim::snapshot::to_image(mc.device()),
+                        state: e.export_state()?,
+                        controller: Some(mc.export_state()),
+                    })
+                })?;
+            out.write_shard(&shard)?;
         }
-        let bytes = StoreSnapshot { shards }.save_atomic(&p.cfg.snapshot_path())?;
+        let bytes = out.commit()?;
         for wal in wals.iter_mut() {
             wal.reset()
                 .map_err(|e| StoreError::Persistence(format!("wal reset: {e}")))?;
@@ -1293,5 +1296,49 @@ mod tests {
             s.put(k, &[1u8; 32]).unwrap();
         }
         assert_eq!(s.len(), 10);
+    }
+
+    #[test]
+    fn streamed_snapshot_equals_the_in_memory_encoding() {
+        let dir = std::env::temp_dir().join(format!(
+            "e2nvm_kv_stream_snap_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let pcfg = PersistenceConfig::builder()
+            .data_dir(&dir)
+            .flush_policy(e2nvm_persist::FlushPolicy::OsOnly)
+            .build()
+            .unwrap();
+        let mut s = sharded_store(4, 192, 64)
+            .with_persistence(pcfg.clone(), None)
+            .unwrap();
+        for k in 0..40u64 {
+            s.put(k, &vec![k as u8; 8 + (k as usize % 40)]).unwrap();
+        }
+        assert!(s.delete(5).unwrap());
+        let written = s.snapshot_now().unwrap();
+        // Reference: every shard's state gathered first, then encoded as
+        // one buffer.
+        let shards = (0..s.engine().num_shards())
+            .map(|i| {
+                s.engine().with_shard_engine(i, |e| ShardState {
+                    device_image: e2nvm_sim::snapshot::to_image(e.controller().device()),
+                    state: e.export_state().unwrap(),
+                    controller: Some(e.controller().export_state()),
+                })
+            })
+            .collect();
+        let reference = StoreSnapshot { shards };
+        let on_disk = std::fs::read(pcfg.snapshot_path()).unwrap();
+        assert_eq!(on_disk, reference.to_bytes());
+        assert_eq!(written, on_disk.len() as u64);
+        assert_eq!(
+            StoreSnapshot::load(&pcfg.snapshot_path()).unwrap().unwrap(),
+            reference
+        );
+        drop(s);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

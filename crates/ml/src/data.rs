@@ -49,19 +49,22 @@ pub fn train_val_split<R: Rng>(data: &Matrix, val_frac: f32, rng: &mut R) -> (Ma
     (data.select_rows(train_idx), data.select_rows(val_idx))
 }
 
-/// Subsample at most `max_rows` rows uniformly without replacement
-/// (used to bound training-set size on large pools).
-pub fn subsample_rows<R: Rng>(data: &Matrix, max_rows: usize, rng: &mut R) -> Matrix {
-    if data.rows() <= max_rows {
-        return data.clone();
+/// Draw at most `max_rows` of the row indices `0..n` uniformly without
+/// replacement (used to bound training-set size on large pools). The
+/// caller featurises only the drawn rows, so a large pool never exists
+/// as one feature matrix. Returns `0..n` in order, with no draws, when
+/// `n <= max_rows`.
+pub fn sample_indices<R: Rng>(n: usize, max_rows: usize, rng: &mut R) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..n).collect();
+    if n <= max_rows {
+        return idx;
     }
-    let mut idx: Vec<usize> = (0..data.rows()).collect();
     for i in 0..max_rows {
-        let j = rng.gen_range(i..idx.len());
+        let j = rng.gen_range(i..n);
         idx.swap(i, j);
     }
     idx.truncate(max_rows);
-    data.select_rows(&idx)
+    idx
 }
 
 #[cfg(test)]
@@ -114,23 +117,29 @@ mod tests {
     }
 
     #[test]
-    fn subsample_bounds_rows() {
+    fn sample_bounds_rows() {
         let mut rng = seeded(2);
-        let data = Matrix::from_fn(50, 2, |r, _| r as f32);
-        let s = subsample_rows(&data, 10, &mut rng);
-        assert_eq!(s.rows(), 10);
-        let t = subsample_rows(&data, 100, &mut rng);
-        assert_eq!(t.rows(), 50);
+        let s = sample_indices(50, 10, &mut rng);
+        assert_eq!(s.len(), 10);
+        let t = sample_indices(50, 100, &mut rng);
+        assert_eq!(t.len(), 50);
     }
 
     #[test]
-    fn subsample_has_no_duplicates() {
+    fn sample_has_no_duplicates() {
         let mut rng = seeded(3);
-        let data = Matrix::from_fn(30, 1, |r, _| r as f32);
-        let s = subsample_rows(&data, 20, &mut rng);
-        let mut vals: Vec<i64> = s.as_slice().iter().map(|&v| v as i64).collect();
+        let mut vals = sample_indices(30, 20, &mut rng);
         vals.sort_unstable();
         vals.dedup();
         assert_eq!(vals.len(), 20);
+    }
+
+    #[test]
+    fn sample_below_cap_keeps_order_and_draws_nothing() {
+        let mut rng = seeded(4);
+        assert_eq!(sample_indices(5, 5, &mut rng), vec![0, 1, 2, 3, 4]);
+        assert_eq!(sample_indices(0, 3, &mut rng), Vec::<usize>::new());
+        // No draws were made: the stream continues where a fresh one starts.
+        assert_eq!(rng.gen::<u64>(), seeded(4).gen::<u64>());
     }
 }

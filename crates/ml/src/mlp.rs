@@ -70,11 +70,13 @@ impl Mlp {
             .fold(x.clone(), |h, layer| layer.forward(&h))
     }
 
-    /// Forward without caches (serving path).
+    /// Forward without caches (serving path). The first layer reads `x`
+    /// in place; only layer outputs are allocated.
     pub fn forward_inference(&self, x: &Matrix) -> Matrix {
-        self.layers
-            .iter()
-            .fold(x.clone(), |h, layer| layer.forward_inference(&h))
+        let (first, rest) = self.layers.split_first().expect("Mlp has layers");
+        rest.iter().fold(first.forward_inference(x), |h, layer| {
+            layer.forward_inference(&h)
+        })
     }
 
     /// Backward from the gradient w.r.t. the network *output*.

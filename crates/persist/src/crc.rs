@@ -48,7 +48,35 @@ const TABLES: [[u32; 256]; 8] = {
 
 /// CRC-32 of `data` (init `0xFFFF_FFFF`, final xor `0xFFFF_FFFF`).
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A running CRC-32: feeding bytes in any split gives the [`crc32`] of
+/// their concatenation, so a stream can be checksummed as it is written.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Crc32(u32);
+
+impl Crc32 {
+    /// A fresh checksum (of zero bytes).
+    pub(crate) fn new() -> Self {
+        Self(u32::MAX)
+    }
+
+    /// Fold `data` into the checksum.
+    pub(crate) fn update(&mut self, data: &[u8]) {
+        self.0 = update(self.0, data);
+    }
+
+    /// The CRC-32 of everything fed so far.
+    pub(crate) fn finish(self) -> u32 {
+        self.0 ^ u32::MAX
+    }
+}
+
+/// Fold `data` into the pre-inversion register `crc`.
+fn update(mut crc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(8);
     for chunk in &mut chunks {
         let lo = u32::from_le_bytes(chunk[..4].try_into().expect("4")) ^ crc;
@@ -65,7 +93,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
     }
-    crc ^ u32::MAX
+    crc
 }
 
 #[cfg(test)]
@@ -101,6 +129,31 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    #[test]
+    fn incremental_agrees_with_one_shot_at_every_split() {
+        let long: Vec<u8> = (0..257u32)
+            .map(|i| (i.wrapping_mul(37) >> 2) as u8)
+            .collect();
+        let vectors: [&[u8]; 4] = [b"123456789", b"", b"a", &long];
+        for data in vectors {
+            for cut in 0..=data.len() {
+                for cut2 in cut..=data.len().min(cut + 9) {
+                    let mut crc = Crc32::new();
+                    crc.update(&data[..cut]);
+                    crc.update(&data[cut..cut2]);
+                    crc.update(&data[cut2..]);
+                    assert_eq!(crc.finish(), crc32(data), "splits {cut}/{cut2}");
+                }
+            }
+        }
+        // Byte at a time, on the standard check vector.
+        let mut crc = Crc32::new();
+        for b in b"123456789" {
+            crc.update(&[*b]);
+        }
+        assert_eq!(crc.finish(), 0xCBF4_3926);
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! # e2nvm-persist — crash-consistent persistence for the E2-NVM stack
 //!
 //! One versioned facade over everything the serving stack must remember
-//! across a restart, collapsing the previously ad-hoc persistence
-//! surfaces (`E2Model::save/load`, `e2nvm_sim::snapshot::{save,load}`,
-//! the raw `e2nvm_ml::persist` codec) into a single crate:
+//! across a restart, in a single crate:
 //!
 //! * [`Wal`] / [`replay_and_truncate`] — a per-shard write-ahead log of
 //!   KV mutations: length-prefixed CRC-checksummed records, group-commit
@@ -16,8 +14,7 @@
 //! * [`PersistenceConfig`] — a validated builder (`data_dir`, flush
 //!   policy, snapshot period), like `E2Config` and `ServerConfig`.
 //! * [`save_model`]/[`load_model`], [`save_device`]/[`load_device`] —
-//!   file helpers replacing the deprecated per-crate `save`/`load`
-//!   free functions.
+//!   file helpers for a single model artifact or device image.
 //! * [`codec`] — the low-level `Writer`/`Reader`/`Persist` byte codec
 //!   re-exported for implementors of new persistent artifacts.
 //!
@@ -37,7 +34,7 @@ mod wal;
 pub use config::{FlushPolicy, PersistenceConfig, PersistenceConfigBuilder};
 pub use crc::crc32;
 pub use error::{PersistError, Result};
-pub use snapshot::{ShardState, StoreSnapshot};
+pub use snapshot::{ShardState, SnapshotWriter, StoreSnapshot};
 pub use telemetry::PersistTelemetry;
 pub use wal::{
     decode_records, encode_record, replay_and_truncate, Replay, SyncPort, Wal, WalOp, WalSyncer,
@@ -54,27 +51,23 @@ use e2nvm_core::E2Model;
 use e2nvm_sim::NvmDevice;
 use std::path::Path;
 
-/// Save a trained model artifact to a file
-/// (replaces the deprecated `E2Model::save`).
+/// Save a trained model artifact ([`E2Model::to_bytes`]) to a file.
 pub fn save_model(model: &E2Model, path: impl AsRef<Path>) -> Result<()> {
     std::fs::write(path, model.to_bytes()).map_err(PersistError::Io)
 }
 
-/// Load a model artifact from a file
-/// (replaces the deprecated `E2Model::load`).
+/// Load a model artifact from a file.
 pub fn load_model(path: impl AsRef<Path>) -> Result<E2Model> {
     let bytes = std::fs::read(path)?;
     E2Model::from_bytes(&bytes).map_err(|e| PersistError::Corrupt(format!("model artifact: {e}")))
 }
 
-/// Save a device image (contents + wear + fault state) to a file
-/// (replaces the deprecated `e2nvm_sim::snapshot::save`).
+/// Save a device image (contents + wear + fault state) to a file.
 pub fn save_device(device: &NvmDevice, path: impl AsRef<Path>) -> Result<()> {
     std::fs::write(path, e2nvm_sim::snapshot::to_image(device)).map_err(PersistError::Io)
 }
 
-/// Load a device image from a file
-/// (replaces the deprecated `e2nvm_sim::snapshot::load`).
+/// Load a device image from a file.
 pub fn load_device(path: impl AsRef<Path>) -> Result<NvmDevice> {
     let bytes = std::fs::read(path)?;
     e2nvm_sim::snapshot::from_image(&bytes)
@@ -84,7 +77,10 @@ pub fn load_device(path: impl AsRef<Path>) -> Result<NvmDevice> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use e2nvm_sim::DeviceConfig;
+    use e2nvm_core::E2Config;
+    use e2nvm_ml::rng::seeded;
+    use e2nvm_sim::{DeviceConfig, PhysicalSegment, WearTracking};
+    use rand::Rng;
 
     #[test]
     fn device_file_helpers_roundtrip() {
@@ -106,5 +102,61 @@ mod tests {
         assert_eq!(restored.peek(e2nvm_sim::PhysicalSegment(1)), &[7u8; 64]);
         std::fs::remove_file(&path).ok();
         assert!(load_device(&path).is_err());
+    }
+
+    #[test]
+    fn worn_device_file_roundtrip() {
+        let mut dev = NvmDevice::new(
+            DeviceConfig::builder()
+                .segment_bytes(64)
+                .num_segments(8)
+                .block_bytes(64)
+                .wear_tracking(WearTracking::PerBit)
+                .build()
+                .unwrap(),
+        );
+        dev.fill_random(&mut seeded(1));
+        for round in 0..5u8 {
+            for i in 0..8 {
+                dev.write(PhysicalSegment(i), &[round.wrapping_mul(37); 64])
+                    .unwrap();
+            }
+        }
+        let path = std::env::temp_dir().join("e2nvm_device_image_test.bin");
+        save_device(&dev, &path).unwrap();
+        let restored = load_device(&path).unwrap();
+        assert_eq!(
+            restored.peek(PhysicalSegment(3)),
+            dev.peek(PhysicalSegment(3))
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn model_file_roundtrip() {
+        let mut rng = seeded(10);
+        let contents: Vec<Vec<u8>> = (0..40)
+            .map(|i| {
+                let base = if i < 20 { 0x00u8 } else { 0xFF };
+                (0..16)
+                    .map(|_| if rng.gen::<f32>() < 0.08 { !base } else { base })
+                    .collect()
+            })
+            .collect();
+        let cfg = E2Config::builder()
+            .fast(16, 2)
+            .pretrain_epochs(8)
+            .joint_epochs(2)
+            .build()
+            .unwrap();
+        let model = E2Model::train(&cfg, &contents, &mut rng);
+        let path = std::env::temp_dir().join("e2nvm_model_test.bin");
+        save_model(&model, &path).unwrap();
+        let loaded = load_model(&path).unwrap();
+        assert_eq!(
+            loaded.classify_segments(&contents),
+            model.classify_segments(&contents)
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -13,20 +13,22 @@
 //! load, with [`ShardState::controller`] set to `None` — v1 snapshots
 //! were only ever taken under the identity mapping, so "no controller
 //! state" and "pass-through controller" coincide.
-//! [`StoreSnapshot::save_atomic`] writes to a
-//! temp file, fsyncs, renames over `snapshot.e2s` and fsyncs the
-//! directory, so a crash mid-snapshot leaves the previous snapshot
-//! intact — and because WAL replay is idempotent (records are
-//! full-value upserts/deletes), a crash between the rename and the WAL
-//! truncation merely replays ops the new snapshot already contains.
+//! [`SnapshotWriter`] streams that format to a temp file one shard at
+//! a time (checksumming as it goes, so no caller holds more than one
+//! shard's state or the whole serialized file), fsyncs, renames over
+//! `snapshot.e2s` and fsyncs the directory, so a crash mid-snapshot
+//! leaves the previous snapshot intact — and because WAL replay is
+//! idempotent (records are full-value upserts/deletes), a crash
+//! between the rename and the WAL truncation merely replays ops the
+//! new snapshot already contains.
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::error::{PersistError, Result};
 use e2nvm_core::EngineState;
 use e2nvm_sim::{ControllerState, LogicalSegment, PhysicalSegment, WearPolicyState};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::Path;
+use std::io::{BufWriter, Read, Write};
+use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 4] = b"E2SS";
 const VERSION: u16 = 2;
@@ -61,16 +63,58 @@ pub struct StoreSnapshot {
     pub shards: Vec<ShardState>,
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// Where the encoder puts bytes: a `Vec` ([`StoreSnapshot::to_bytes`])
+/// or a [`SnapshotWriter`]'s file. Infallible by signature; the writer
+/// keeps its first I/O error and reports it after the block.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
 }
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+fn put_u64(buf: &mut impl Sink, v: u64) {
+    buf.put(&v.to_le_bytes());
+}
+
+fn put_bytes(buf: &mut impl Sink, b: &[u8]) {
     put_u64(buf, b.len() as u64);
-    buf.extend_from_slice(b);
+    buf.put(b);
 }
 
-fn put_controller(buf: &mut Vec<u8>, cs: &ControllerState) {
+fn put_header(buf: &mut impl Sink, shard_count: usize) {
+    buf.put(MAGIC);
+    buf.put(&VERSION.to_le_bytes());
+    put_u64(buf, shard_count as u64);
+}
+
+fn put_shard(buf: &mut impl Sink, shard: &ShardState) {
+    put_bytes(buf, &shard.device_image);
+    put_bytes(buf, &shard.state.model);
+    put_u64(buf, shard.state.retired.len() as u64);
+    for seg in &shard.state.retired {
+        put_u64(buf, seg.index() as u64);
+    }
+    put_u64(buf, shard.state.entries.len() as u64);
+    for &(key, seg, off, len) in &shard.state.entries {
+        put_u64(buf, key);
+        put_u64(buf, seg.index() as u64);
+        put_u64(buf, off as u64);
+        put_u64(buf, len as u64);
+    }
+    match &shard.controller {
+        Some(cs) => {
+            buf.put(&1u16.to_le_bytes());
+            put_controller(buf, cs);
+        }
+        None => buf.put(&0u16.to_le_bytes()),
+    }
+}
+
+fn put_controller(buf: &mut impl Sink, cs: &ControllerState) {
     let (tag, fields): (u16, Vec<u64>) = match cs.policy {
         WearPolicyState::None => (POLICY_NONE, Vec::new()),
         WearPolicyState::StartGap { psi, writes, gap } => {
@@ -83,7 +127,7 @@ fn put_controller(buf: &mut Vec<u8>, cs: &ControllerState) {
             draws,
         } => (POLICY_RANDOM_SWAP, vec![psi, seed, writes, draws]),
     };
-    buf.extend_from_slice(&tag.to_le_bytes());
+    buf.put(&tag.to_le_bytes());
     for v in fields {
         put_u64(buf, v);
     }
@@ -94,9 +138,8 @@ fn put_controller(buf: &mut Vec<u8>, cs: &ControllerState) {
         put_u64(buf, if p == usize::MAX { u64::MAX } else { p as u64 });
     }
     put_u64(buf, cs.retired.len() as u64);
-    for &r in &cs.retired {
-        buf.push(u8::from(r));
-    }
+    let flags: Vec<u8> = cs.retired.iter().map(|&r| u8::from(r)).collect();
+    buf.put(&flags);
 }
 
 struct Cursor<'a> {
@@ -193,30 +236,9 @@ impl StoreSnapshot {
     /// Serialize to the `E2SS` byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        put_u64(&mut buf, self.shards.len() as u64);
+        put_header(&mut buf, self.shards.len());
         for shard in &self.shards {
-            put_bytes(&mut buf, &shard.device_image);
-            put_bytes(&mut buf, &shard.state.model);
-            put_u64(&mut buf, shard.state.retired.len() as u64);
-            for seg in &shard.state.retired {
-                put_u64(&mut buf, seg.index() as u64);
-            }
-            put_u64(&mut buf, shard.state.entries.len() as u64);
-            for &(key, seg, off, len) in &shard.state.entries {
-                put_u64(&mut buf, key);
-                put_u64(&mut buf, seg.index() as u64);
-                put_u64(&mut buf, off as u64);
-                put_u64(&mut buf, len as u64);
-            }
-            match &shard.controller {
-                Some(cs) => {
-                    buf.extend_from_slice(&1u16.to_le_bytes());
-                    put_controller(&mut buf, cs);
-                }
-                None => buf.extend_from_slice(&0u16.to_le_bytes()),
-            }
+            put_shard(&mut buf, shard);
         }
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
@@ -296,27 +318,6 @@ impl StoreSnapshot {
         Ok(Self { shards })
     }
 
-    /// Write the snapshot atomically to `path`: temp file in the same
-    /// directory, fsync, rename over the target, fsync the directory.
-    /// Returns the bytes written.
-    pub fn save_atomic(&self, path: &Path) -> Result<u64> {
-        let bytes = self.to_bytes();
-        let dir = path.parent().unwrap_or(Path::new("."));
-        std::fs::create_dir_all(dir)?;
-        let tmp = path.with_extension("e2s.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        // Persist the rename itself.
-        if let Ok(d) = OpenOptions::new().read(true).open(dir) {
-            d.sync_all().ok();
-        }
-        Ok(bytes.len() as u64)
-    }
-
     /// Load a snapshot from `path`; `Ok(None)` when the file does not
     /// exist (fresh start).
     pub fn load(path: &Path) -> Result<Option<Self>> {
@@ -329,6 +330,102 @@ impl StoreSnapshot {
             Err(e) => return Err(e.into()),
         }
         Self::from_bytes(&buf).map(Some)
+    }
+}
+
+/// Writes a snapshot to disk one shard at a time: the file bytes equal
+/// [`StoreSnapshot::to_bytes`] of the same shards, but neither the
+/// serialized file nor more than the one shard being written needs to
+/// be in memory. The write is atomic: bytes go to a temp file in the
+/// target's directory, and [`SnapshotWriter::commit`] appends the CRC
+/// trailer, fsyncs, renames over the target and fsyncs the directory.
+/// Dropping the writer without committing leaves the previous snapshot
+/// in place.
+pub struct SnapshotWriter {
+    path: PathBuf,
+    tmp: PathBuf,
+    out: BufWriter<File>,
+    /// Running CRC-32 and length of everything written so far.
+    crc: Crc32,
+    len: u64,
+    /// The first write error, reported by the next `check`.
+    err: Option<std::io::Error>,
+    remaining: usize,
+}
+
+impl Sink for SnapshotWriter {
+    fn put(&mut self, bytes: &[u8]) {
+        if self.err.is_some() {
+            return;
+        }
+        match self.out.write_all(bytes) {
+            Ok(()) => {
+                self.crc.update(bytes);
+                self.len += bytes.len() as u64;
+            }
+            Err(e) => self.err = Some(e),
+        }
+    }
+}
+
+impl SnapshotWriter {
+    /// Start a snapshot of `shard_count` shards bound for `path`.
+    pub fn create(path: &Path, shard_count: usize) -> Result<Self> {
+        let dir = path.parent().unwrap_or(Path::new("."));
+        std::fs::create_dir_all(dir)?;
+        let tmp = path.with_extension("e2s.tmp");
+        let mut w = Self {
+            out: BufWriter::new(File::create(&tmp)?),
+            path: path.to_path_buf(),
+            tmp,
+            crc: Crc32::new(),
+            len: 0,
+            err: None,
+            remaining: shard_count,
+        };
+        put_header(&mut w, shard_count);
+        w.check()?;
+        Ok(w)
+    }
+
+    /// Append the next shard's block (shards go in shard order).
+    pub fn write_shard(&mut self, shard: &ShardState) -> Result<()> {
+        if self.remaining == 0 {
+            return Err(PersistError::Mismatch(
+                "snapshot writer: more shards than announced".into(),
+            ));
+        }
+        self.remaining -= 1;
+        put_shard(self, shard);
+        self.check()
+    }
+
+    /// Finish the file and atomically replace the target with it.
+    /// Returns the bytes written.
+    pub fn commit(mut self) -> Result<u64> {
+        if self.remaining != 0 {
+            return Err(PersistError::Mismatch(format!(
+                "snapshot writer: {} announced shards never written",
+                self.remaining
+            )));
+        }
+        let crc = self.crc.finish();
+        self.out.write_all(&crc.to_le_bytes())?;
+        let file = self.out.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&self.tmp, &self.path)?;
+        // Persist the rename itself.
+        let dir = self.path.parent().unwrap_or(Path::new("."));
+        if let Ok(d) = OpenOptions::new().read(true).open(dir) {
+            d.sync_all().ok();
+        }
+        Ok(self.len + 4)
+    }
+
+    /// Surface the first write error, if any.
+    fn check(&mut self) -> Result<()> {
+        self.err.take().map_or(Ok(()), |e| Err(e.into()))
     }
 }
 
@@ -455,9 +552,26 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snapshot.e2s");
         let snap = sample();
-        let written = snap.save_atomic(&path).unwrap();
-        assert_eq!(written, snap.to_bytes().len() as u64);
+        let mut out = SnapshotWriter::create(&path, snap.shards.len()).unwrap();
+        for shard in &snap.shards {
+            out.write_shard(shard).unwrap();
+        }
+        let written = out.commit().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes, snap.to_bytes());
+        assert_eq!(written, bytes.len() as u64);
         assert_eq!(StoreSnapshot::load(&path).unwrap().unwrap(), snap);
+
+        // A writer that sees the wrong number of shards never replaces
+        // the committed snapshot.
+        let mut short = SnapshotWriter::create(&path, 2).unwrap();
+        short.write_shard(&snap.shards[0]).unwrap();
+        assert!(short.commit().is_err());
+        let mut long = SnapshotWriter::create(&path, 1).unwrap();
+        long.write_shard(&snap.shards[0]).unwrap();
+        assert!(long.write_shard(&snap.shards[1]).is_err());
+        drop(long);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
         assert!(StoreSnapshot::load(&path).unwrap().is_none());
     }

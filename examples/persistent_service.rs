@@ -75,8 +75,7 @@ fn main() {
     );
 
     // ---------- shutdown: persist model + device image ----------
-    // The `e2nvm::persist` facade replaces the deprecated per-crate
-    // helpers (`E2Model::save`, `sim::snapshot::save`).
+    // Single-artifact file helpers from the `e2nvm::persist` facade.
     shared.with_engine(|engine| {
         e2nvm::persist::save_model(engine.model().expect("trained"), &model_path)
             .expect("save model");
