@@ -14,15 +14,19 @@
 //! * [`Padder`] — fitting variable-size values to the fixed model input
 //!   ([`padding`]; 7 types × 3 locations, §4 of the paper).
 //! * [`E2Engine`] — Algorithms 1 & 2 (write/delete) plus GET/SCAN over a
-//!   simulated NVM device ([`engine`]).
+//!   simulated NVM device ([`engine`]). Its `BTreeMap` key index plays
+//!   the paper's DRAM "RB-tree data index" role (Algorithm 1's
+//!   `RB-Tree.put(D, A)`).
 //! * [`retrain::BackgroundRetrainer`] — lazy retraining when a cluster's
 //!   free list runs low (§4.1.4).
-//! * [`SharedEngine`] / [`ShardedEngine`] — thread-safe serving (§5.1):
-//!   one mutex-guarded engine, or N independent engines over disjoint
-//!   segment partitions with hash-routed keys ([`concurrent`],
-//!   [`sharded`]).
+//! * [`ShardedEngine`] — thread-safe serving (§5.1): N independent
+//!   engines, each behind its own mutex with its own background
+//!   retrainer, over disjoint segment partitions with hash-routed keys
+//!   ([`sharded`]). One shard is the single-engine case. The Figure 3
+//!   key-value store, `e2nvm_kvstore::ShardedE2KvStore`, runs on it.
 //! * [`kselect`] — SSE elbow + energy valley for picking K (Figure 8).
-//! * [`batch`] — grouping small writes into segment-sized batches.
+//! * [`batch`] — grouping small writes into segment-sized batches, the
+//!   packing behind [`E2Engine::put_many`] (§4.1.4).
 //!
 //! ```no_run
 //! use e2nvm_core::{E2Config, E2Engine};
@@ -41,7 +45,6 @@
 //! ```
 
 pub mod batch;
-pub mod concurrent;
 pub mod config;
 pub mod dap;
 pub mod engine;
@@ -53,10 +56,8 @@ pub mod padding;
 pub mod retrain;
 pub mod sharded;
 pub mod telemetry;
-pub mod writer;
 
 pub use batch::{Batch, BatchAccumulator};
-pub use concurrent::SharedEngine;
 pub use config::{E2Config, E2ConfigBuilder};
 pub use dap::{DapError, DynamicAddressPool};
 pub use engine::{E2Engine, EngineState, PredictionStats};
@@ -68,4 +69,3 @@ pub use padding::{Padder, PaddingLocation, PaddingType};
 pub use retrain::BackgroundRetrainer;
 pub use sharded::ShardedEngine;
 pub use telemetry::EngineTelemetry;
-pub use writer::BatchedWriter;

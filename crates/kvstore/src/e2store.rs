@@ -1,278 +1,24 @@
 //! The paper's Figure 3 system: a persistent key-value store on hybrid
-//! DRAM-NVM built on E2-NVM — a DRAM **red-black tree** index (the
-//! "RB-Tree.put(D, A)" of Algorithm 1) over values placed by the
-//! [`E2Engine`].
+//! DRAM-NVM built on E2-NVM. Values are placed by the per-shard
+//! [`E2Engine`]s of a [`ShardedEngine`], and each engine's DRAM key
+//! index (a `BTreeMap`) plays the "RB-Tree.put(D, A)" role of
+//! Algorithm 1. One shard is the single-engine store:
+//! `ShardedE2KvStore::new(ShardedEngine::new(vec![engine]))`.
 
-use crate::rbtree::RbTree;
 use crate::store::{Result, StoreError};
 use crate::telemetry::StoreTelemetry;
 use crate::traits::NvmKvStore;
-use e2nvm_core::{Batch, BatchAccumulator, E2Config, E2Engine, E2Error, ShardedEngine};
+use e2nvm_core::{E2Config, E2Engine, E2Error, ShardedEngine};
 use e2nvm_persist::{
     replay_and_truncate, FlushPolicy, PersistTelemetry, PersistenceConfig, ShardState,
     SnapshotWriter, StoreSnapshot, Wal, WalOp, WalSyncer,
 };
-use e2nvm_sim::{LogicalSegment, MemoryController};
+use e2nvm_sim::MemoryController;
 use e2nvm_telemetry::TelemetryRegistry;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Loc {
-    seg: LogicalSegment,
-    off: usize,
-    len: usize,
-}
-
-impl Default for Loc {
-    fn default() -> Self {
-        Self {
-            seg: LogicalSegment(usize::MAX),
-            off: 0,
-            len: 0,
-        }
-    }
-}
-
-/// The E2-NVM-backed key-value store.
-pub struct E2KvStore {
-    engine: E2Engine,
-    index: RbTree<Loc>,
-    /// Live-entry counts for segments shared by a packed
-    /// [`NvmKvStore::put_many`] batch; absent segments hold exactly one
-    /// entry. A shared segment is recycled only when its count hits 0.
-    live: HashMap<LogicalSegment, usize>,
-    telemetry: StoreTelemetry,
-}
-
-impl E2KvStore {
-    /// Build over a *trained* engine.
-    ///
-    /// # Panics
-    /// Panics if the engine has not been trained.
-    pub fn new(engine: E2Engine) -> Self {
-        assert!(engine.is_trained(), "E2KvStore: engine must be trained");
-        Self {
-            engine,
-            index: RbTree::new(),
-            live: HashMap::new(),
-            telemetry: StoreTelemetry::disconnected(),
-        }
-    }
-
-    /// Drop one live reference to the segment behind a displaced index
-    /// entry; recycle it once no entry points there any more.
-    fn release_loc(&mut self, loc: Loc) -> Result<()> {
-        match self.live.get_mut(&loc.seg) {
-            Some(count) => {
-                *count -= 1;
-                if *count == 0 {
-                    self.live.remove(&loc.seg);
-                    self.engine.recycle_segment(loc.seg)?;
-                }
-            }
-            None => self.engine.recycle_segment(loc.seg)?,
-        }
-        Ok(())
-    }
-
-    /// Commit one emitted batch; on placement failure, fail every
-    /// pending pair's result slot. Clears `pending` either way.
-    fn commit_pending(
-        &mut self,
-        batch: &Batch,
-        pending: &mut Vec<usize>,
-        results: &mut [Result<()>],
-    ) {
-        if let Err(e) = self.commit_batch(batch) {
-            for &i in pending.iter() {
-                results[i] = Err(e.clone());
-            }
-        }
-        pending.clear();
-    }
-
-    /// Place one emitted batch on a segment and index every item.
-    fn commit_batch(&mut self, batch: &Batch) -> Result<()> {
-        let (seg, _report) = self.engine.place_value(&batch.data)?;
-        // Count the whole batch up front so an intra-batch duplicate
-        // release cannot recycle the segment under later items.
-        self.live.insert(seg, batch.items.len());
-        for &(key, off, len) in &batch.items {
-            if let Some(old) = self.index.insert(key, Loc { seg, off, len }) {
-                self.release_loc(old)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Register this store's KV-op metrics — and the wrapped engine's
-    /// and device's — on `registry`.
-    pub fn attach_telemetry(&mut self, registry: &TelemetryRegistry) {
-        self.engine.attach_telemetry(registry, 0);
-        self.telemetry = StoreTelemetry::register(registry, "e2");
-    }
-
-    /// Borrow the engine (retraining, stats, wear inspection).
-    pub fn engine_mut(&mut self) -> &mut E2Engine {
-        &mut self.engine
-    }
-
-    /// Segments permanently retired by wear-out (degraded mode).
-    pub fn retired_count(&self) -> usize {
-        self.engine.retired_count()
-    }
-
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-}
-
-impl NvmKvStore for E2KvStore {
-    fn name(&self) -> &'static str {
-        "E2-NVM KV"
-    }
-
-    fn put(&mut self, key: u64, value: &[u8]) -> Result<()> {
-        // Timed explicitly (not via the drop-guard timer) because
-        // release_loc needs `&mut self` while a guard would hold the
-        // telemetry borrow.
-        let t0 = crate::telemetry::now_if_enabled();
-        self.telemetry.puts.inc();
-        // Algorithm 1: predict -> pop address -> differential write ->
-        // index update.
-        let (seg, _report) = self.engine.place_value(value)?;
-        if let Some(old) = self.index.insert(
-            key,
-            Loc {
-                seg,
-                off: 0,
-                len: value.len(),
-            },
-        ) {
-            self.release_loc(old)?;
-        }
-        if let Some(t0) = t0 {
-            self.telemetry
-                .put_latency_ns
-                .observe(t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
-    }
-
-    fn put_many(&mut self, pairs: &[(u64, &[u8])]) -> Vec<Result<()>> {
-        self.telemetry.puts.add(pairs.len() as u64);
-        let seg_bytes = self.engine.config().segment_bytes;
-        let mut results: Vec<Result<()>> = (0..pairs.len()).map(|_| Ok(())).collect();
-        let mut acc = BatchAccumulator::new(seg_bytes);
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, &(key, value)) in pairs.iter().enumerate() {
-            if value.len() > seg_bytes {
-                results[i] = Err(StoreError::from(E2Error::ValueTooLarge {
-                    len: value.len(),
-                    segment_bytes: seg_bytes,
-                }));
-                continue;
-            }
-            if value.is_empty() {
-                // The accumulator cannot carry zero-length payloads;
-                // flush first (order matters for duplicate keys), then
-                // place the empty value on its own segment.
-                if let Some(batch) = acc.flush() {
-                    self.commit_pending(&batch, &mut pending, &mut results);
-                }
-                results[i] = match self.engine.place_value(value) {
-                    Ok((seg, _report)) => match self.index.insert(
-                        key,
-                        Loc {
-                            seg,
-                            off: 0,
-                            len: 0,
-                        },
-                    ) {
-                        Some(old) => self.release_loc(old),
-                        None => Ok(()),
-                    },
-                    Err(e) => Err(e.into()),
-                };
-                continue;
-            }
-            if let Some(batch) = acc.push(key, value) {
-                self.commit_pending(&batch, &mut pending, &mut results);
-            }
-            pending.push(i);
-        }
-        if let Some(batch) = acc.flush() {
-            self.commit_pending(&batch, &mut pending, &mut results);
-        }
-        results
-    }
-
-    fn get(&mut self, key: u64) -> Result<Option<Vec<u8>>> {
-        let _timer = self.telemetry.get_latency_ns.start_timer();
-        self.telemetry.gets.inc();
-        let Some(loc) = self.index.get(key).copied() else {
-            return Ok(None);
-        };
-        let data = self.engine.controller_mut().read(loc.seg)?;
-        Ok(Some(data[loc.off..loc.off + loc.len].to_vec()))
-    }
-
-    fn delete(&mut self, key: u64) -> Result<bool> {
-        self.telemetry.deletes.inc();
-        // Algorithm 2: index lookup -> flag reset (DRAM) -> recycle the
-        // address through the encoder back into the DAP.
-        let Some(loc) = self.index.remove(key) else {
-            return Ok(false);
-        };
-        self.release_loc(loc)?;
-        Ok(true)
-    }
-
-    fn scan(&mut self, lo: u64, hi: u64) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.scan_limit(lo, hi, usize::MAX)
-    }
-
-    fn scan_limit(&mut self, lo: u64, hi: u64, limit: usize) -> Result<Vec<(u64, Vec<u8>)>> {
-        self.telemetry.scans.inc();
-        // Early-stopped index walk: a small page over a huge range
-        // costs O(limit + log n), which keeps the server's paged
-        // streaming SCAN from re-materializing the whole range per page.
-        let locs: Vec<(u64, Loc)> = self
-            .index
-            .range_limit(lo, hi, limit)
-            .into_iter()
-            .map(|(k, loc)| (k, *loc))
-            .collect();
-        locs.into_iter()
-            .map(|(k, loc)| {
-                let data = self.engine.controller_mut().read(loc.seg)?;
-                Ok((k, data[loc.off..loc.off + loc.len].to_vec()))
-            })
-            .collect()
-    }
-
-    fn stats(&self) -> e2nvm_sim::DeviceStats {
-        self.engine.device_stats().clone()
-    }
-
-    fn reset_stats(&mut self) {
-        self.engine.reset_device_stats();
-    }
-
-    fn telemetry(&self) -> Option<&TelemetryRegistry> {
-        self.telemetry.registry()
-    }
-}
 
 /// The attached persistence layer of a [`ShardedE2KvStore`]: one WAL
 /// per shard plus snapshot-trigger state. Shared by clones.
@@ -388,11 +134,11 @@ pub struct RecoveryReport {
     pub duration_ms: u64,
 }
 
-/// The sharded variant: the same KV interface over a [`ShardedEngine`],
-/// whose per-shard engines each keep their own key index, so no extra
-/// DRAM index is needed here. Unlike [`E2KvStore`] this store is also
+/// The E2-NVM-backed key-value store: the [`NvmKvStore`] interface
+/// over a [`ShardedEngine`], whose per-shard engines each keep their
+/// own key index, so no extra DRAM index is needed here. The store is
 /// `Clone` — clones share the shards — which is what the multi-threaded
-/// serving benchmarks hand out to worker threads.
+/// server hands out to worker threads.
 ///
 /// Optionally crash-consistent: [`ShardedE2KvStore::with_persistence`]
 /// attaches a per-shard WAL plus snapshot layer, and
@@ -527,6 +273,10 @@ impl ShardedE2KvStore {
         let Some(snap) = StoreSnapshot::load(&cfg.snapshot_path())? else {
             return Ok(None);
         };
+        // A well-formed encoding, but no store has zero shards.
+        if snap.shards.is_empty() {
+            return Err(StoreError::Persistence("snapshot holds no shards".into()));
+        }
         let mut engines = Vec::with_capacity(snap.shards.len());
         for (i, shard) in snap.shards.iter().enumerate() {
             let device = e2nvm_sim::snapshot::from_image(&shard.device_image)
@@ -706,8 +456,10 @@ impl NvmKvStore for ShardedE2KvStore {
             // kernel at the next `commit` — which the serving layer
             // runs before the ack leaves the process, so a crash in
             // between loses only mutations the client was never acked.
+            // `engine.put` routes by the same `shard_for`, so the apply
+            // lands on the shard whose WAL lock is held.
             let mut wal = p.wals[shard].lock();
-            self.engine.shard(shard).put(key, value)?;
+            self.engine.put(key, value)?;
             wal.append_put(key, value)
                 .map_err(|e| StoreError::Persistence(format!("wal append: {e}")))?;
         }
@@ -743,7 +495,9 @@ impl NvmKvStore for ShardedE2KvStore {
             }
             let group: Vec<(u64, &[u8])> = idxs.iter().map(|&i| pairs[i]).collect();
             let mut wal = p.wals[shard].lock();
-            let results = self.engine.shard(shard).put_many(&group);
+            // `group` holds only this shard's keys, so the engine runs
+            // it on this shard alone.
+            let results = self.engine.put_many(&group);
             // Log exactly the applied (successful) subset, in order,
             // encoding straight from the borrowed values.
             let mut logged = 0u64;
@@ -809,7 +563,7 @@ impl NvmKvStore for ShardedE2KvStore {
         let shard = self.engine.shard_for(key);
         let existed = {
             let mut wal = p.wals[shard].lock();
-            let existed = self.engine.shard(shard).delete(key)?;
+            let existed = self.engine.delete(key)?;
             if existed {
                 // Deleting an absent key changes nothing; log only
                 // actual state transitions.
@@ -873,68 +627,9 @@ mod tests {
     use super::*;
     use crate::traits::check_against_shadow;
     use e2nvm_core::E2Config;
-    use e2nvm_sim::{DeviceConfig, MemoryController, NvmDevice};
+    use e2nvm_sim::{DeviceConfig, LogicalSegment, MemoryController};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    fn store(segments: usize, seg_bytes: usize) -> E2KvStore {
-        let dev = NvmDevice::new(
-            DeviceConfig::builder()
-                .segment_bytes(seg_bytes)
-                .num_segments(segments)
-                .build()
-                .unwrap(),
-        );
-        let cfg = E2Config::builder()
-            .fast(seg_bytes, 2)
-            .pretrain_epochs(5)
-            .joint_epochs(1)
-            .padding_type(e2nvm_core::PaddingType::Zero)
-            .build()
-            .unwrap();
-        let mut engine = E2Engine::new(MemoryController::without_wear_leveling(dev), cfg).unwrap();
-        let mut rng = StdRng::seed_from_u64(23);
-        for i in 0..segments {
-            let base = if i % 2 == 0 { 0x00u8 } else { 0xFF };
-            let content: Vec<u8> = (0..seg_bytes)
-                .map(|_| if rng.gen::<f32>() < 0.05 { !base } else { base })
-                .collect();
-            engine
-                .controller_mut()
-                .seed(LogicalSegment(i), &content)
-                .unwrap();
-        }
-        engine.train().unwrap();
-        E2KvStore::new(engine)
-    }
-
-    #[test]
-    fn basic_crud() {
-        let mut s = store(32, 64);
-        s.put(10, b"ten").unwrap();
-        assert_eq!(s.get(10).unwrap().unwrap(), b"ten");
-        s.put(10, b"TEN").unwrap();
-        assert_eq!(s.get(10).unwrap().unwrap(), b"TEN");
-        assert!(s.delete(10).unwrap());
-        assert!(!s.delete(10).unwrap());
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn shadow_stress() {
-        let mut s = store(128, 64);
-        check_against_shadow(&mut s, 400, 12, 29).unwrap();
-    }
-
-    #[test]
-    fn scan_in_key_order() {
-        let mut s = store(32, 64);
-        for k in [4u64, 8, 2, 6] {
-            s.put(k, &k.to_le_bytes()).unwrap();
-        }
-        let keys: Vec<u64> = s.scan(3, 7).unwrap().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![4, 6]);
-    }
 
     fn kv_cfg(seg_bytes: usize) -> E2Config {
         E2Config::builder()
@@ -974,62 +669,113 @@ mod tests {
 
     #[test]
     fn sharded_basic_crud() {
-        let mut s = sharded_store(4, 64, 64);
-        s.put(10, b"ten").unwrap();
-        assert_eq!(s.get(10).unwrap().unwrap(), b"ten");
-        s.put(10, b"TEN").unwrap();
-        assert_eq!(s.get(10).unwrap().unwrap(), b"TEN");
-        assert!(s.delete(10).unwrap());
-        assert!(!s.delete(10).unwrap());
-        assert_eq!(s.get(10).unwrap(), None);
-        assert!(s.is_empty());
+        for shards in [1, 4] {
+            let mut s = sharded_store(shards, 64, 64);
+            s.put(10, b"ten").unwrap();
+            assert_eq!(s.get(10).unwrap().unwrap(), b"ten");
+            s.put(10, b"TEN").unwrap();
+            assert_eq!(s.get(10).unwrap().unwrap(), b"TEN");
+            assert!(s.delete(10).unwrap());
+            assert!(!s.delete(10).unwrap());
+            assert_eq!(s.get(10).unwrap(), None);
+            assert!(s.is_empty());
+        }
     }
 
     #[test]
     fn sharded_shadow_stress() {
-        let mut s = sharded_store(4, 192, 64);
-        check_against_shadow(&mut s, 400, 12, 31).unwrap();
+        for (shards, segments, seed) in [(1, 128, 29), (4, 192, 31)] {
+            let mut s = sharded_store(shards, segments, 64);
+            check_against_shadow(&mut s, 400, 12, seed).unwrap();
+        }
     }
 
     #[test]
-    fn put_many_packs_and_roundtrips() {
-        let mut s = store(32, 64);
-        let values: Vec<(u64, Vec<u8>)> = (0..12u64).map(|k| (k, vec![k as u8; 16])).collect();
-        let pairs: Vec<(u64, &[u8])> = values.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        let free_before = s.engine.free_count();
-        assert!(s.put_many(&pairs).iter().all(Result::is_ok));
-        // Twelve 16-byte values pack four-to-a-64B-segment.
-        assert_eq!(free_before - s.engine.free_count(), 3);
-        for (k, v) in &values {
-            assert_eq!(s.get(*k).unwrap().as_ref(), Some(v));
+    fn sharded_scan_in_key_order() {
+        for shards in [1, 4] {
+            let mut s = sharded_store(shards, 64, 64);
+            for k in [4u64, 8, 2, 6] {
+                s.put(k, &k.to_le_bytes()).unwrap();
+            }
+            let keys: Vec<u64> = s.scan(3, 7).unwrap().into_iter().map(|(k, _)| k).collect();
+            assert_eq!(keys, vec![4, 6]);
         }
-        // Deleting batch-mates frees the segment only when the last
-        // entry dies.
-        for k in 0..4u64 {
-            assert!(s.delete(k).unwrap());
-        }
-        assert_eq!(s.engine.free_count(), free_before - 2);
-        // Batched reads agree, including misses.
-        let got = s.get_many(&[5, 0, 7]).unwrap();
-        assert_eq!(got[0].as_deref(), Some(&[5u8; 16][..]));
-        assert_eq!(got[1], None);
-        assert_eq!(got[2].as_deref(), Some(&[7u8; 16][..]));
     }
 
     #[test]
     fn sharded_put_many_roundtrips() {
-        let mut s = sharded_store(4, 128, 64);
-        let values: Vec<(u64, Vec<u8>)> = (0..32u64).map(|k| (k, vec![!(k as u8); 12])).collect();
-        let pairs: Vec<(u64, &[u8])> = values.iter().map(|(k, v)| (*k, v.as_slice())).collect();
-        assert!(s.put_many(&pairs).iter().all(Result::is_ok));
-        assert_eq!(s.len(), 32);
-        let keys: Vec<u64> = (0..34u64).collect();
-        let got = s.get_many(&keys).unwrap();
-        for k in 0..32usize {
-            assert_eq!(got[k].as_deref(), Some(&values[k].1[..]), "key {k}");
+        for shards in [1, 4] {
+            let mut s = sharded_store(shards, 32 * shards, 64);
+            let values: Vec<(u64, Vec<u8>)> =
+                (0..32u64).map(|k| (k, vec![!(k as u8); 12])).collect();
+            let pairs: Vec<(u64, &[u8])> = values.iter().map(|(k, v)| (*k, v.as_slice())).collect();
+            let free_before = s.engine().free_count();
+            assert!(s.put_many(&pairs).iter().all(Result::is_ok));
+            assert_eq!(s.len(), 32);
+            // Each shard packs its share of the batch, in input order,
+            // five 12-byte values to a 64-byte segment.
+            let mut groups: Vec<Vec<u64>> = vec![Vec::new(); shards];
+            for k in 0..32u64 {
+                groups[s.engine().shard_for(k)].push(k);
+            }
+            let packed: usize = groups.iter().map(|g| g.len().div_ceil(5)).sum();
+            assert_eq!(
+                free_before - s.engine().free_count(),
+                packed,
+                "{shards} shards"
+            );
+            // Batched reads come back in request order, misses included.
+            let keys: Vec<u64> = (0..34u64).collect();
+            let got = s.get_many(&keys).unwrap();
+            for k in 0..32usize {
+                assert_eq!(got[k].as_deref(), Some(&values[k].1[..]), "key {k}");
+            }
+            assert_eq!(got[32], None);
+            assert_eq!(got[33], None);
+            // The largest group's first five keys share one segment: it
+            // is freed only when the last of them is deleted.
+            let group = groups.iter().max_by_key(|g| g.len()).unwrap();
+            let (last, mates) = group[..group.len().min(5)].split_last().unwrap();
+            let after_batch = s.engine().free_count();
+            for &k in mates {
+                assert!(s.delete(k).unwrap());
+            }
+            assert_eq!(s.engine().free_count(), after_batch);
+            assert!(s.delete(*last).unwrap());
+            assert_eq!(s.engine().free_count(), after_batch + 1);
+            let got = s.get_many(&keys).unwrap();
+            for k in 0..34u64 {
+                let deleted = k == *last || mates.contains(&k);
+                let expected = (k < 32 && !deleted).then(|| vec![!(k as u8); 12]);
+                assert_eq!(got[k as usize], expected, "key {k}");
+            }
         }
-        assert_eq!(got[32], None);
-        assert_eq!(got[33], None);
+    }
+
+    #[test]
+    fn recovery_rejects_a_snapshot_with_no_shards() {
+        let dir = std::env::temp_dir().join(format!(
+            "e2nvm_kv_zero_shards_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+        let pcfg = PersistenceConfig::builder()
+            .data_dir(&dir)
+            .flush_policy(e2nvm_persist::FlushPolicy::OsOnly)
+            .build()
+            .unwrap();
+        // A CRC-valid encoding of zero shards.
+        SnapshotWriter::create(&pcfg.snapshot_path(), 0)
+            .unwrap()
+            .commit()
+            .unwrap();
+        let err = ShardedE2KvStore::recover(&pcfg, &kv_cfg(64), None).unwrap_err();
+        assert_eq!(
+            err,
+            StoreError::Persistence("snapshot holds no shards".into())
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1284,7 +1030,7 @@ mod tests {
 
     #[test]
     fn deletes_recycle_capacity() {
-        let mut s = store(16, 64);
+        let mut s = sharded_store(1, 16, 64);
         for k in 0..10u64 {
             s.put(k, &[k as u8; 32]).unwrap();
         }

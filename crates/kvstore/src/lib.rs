@@ -2,9 +2,11 @@
 //!
 //! Two roles in the reproduction:
 //!
-//! 1. The paper's own system (Figure 3): [`E2KvStore`] — a DRAM
-//!    red-black tree ([`RbTree`]) indexing values placed on NVM by the
-//!    E2-NVM engine.
+//! 1. The paper's own system (Figure 3): [`ShardedE2KvStore`] — values
+//!    placed on NVM by the E2-NVM engines of an
+//!    [`e2nvm_core::ShardedEngine`], indexed in DRAM by each engine's
+//!    `BTreeMap` key index, with optional per-shard WALs and snapshots.
+//!    One shard is the single-engine store.
 //! 2. The augmentation targets of Figure 12: [`BPlusTree`], [`WiscKey`],
 //!    [`PathHashing`], [`FpTree`], and [`NoveLsm`], each runnable over a
 //!    [`DirectNodeStore`] (update-in-place, arbitrary placement) or an
@@ -27,7 +29,7 @@ pub mod wisckey;
 
 pub use btree::BPlusTree;
 pub use cache::{CacheConfig, CacheConfigBuilder, CacheStats, CachedKvStore, HotCache};
-pub use e2store::{E2KvStore, RecoveryReport, ShardedE2KvStore, WearSummary};
+pub use e2store::{RecoveryReport, ShardedE2KvStore, WearSummary};
 pub use fptree::FpTree;
 pub use novelsm::NoveLsm;
 pub use path_hashing::PathHashing;

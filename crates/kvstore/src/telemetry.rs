@@ -62,7 +62,7 @@ impl StoreTelemetry {
     }
 
     /// Register this store's series on `registry` under the given store
-    /// label (e.g. `"e2"` / `"sharded"`).
+    /// label (e.g. `"sharded"`).
     pub fn register(registry: &TelemetryRegistry, store: &str) -> Self {
         let labels = [("store", store)];
         Self {

@@ -1,5 +1,5 @@
 //! Observational-equivalence property test for the read-through cache:
-//! a [`CachedKvStore`] wrapping an [`E2KvStore`] must be
+//! a [`CachedKvStore`] wrapping a [`ShardedE2KvStore`] must be
 //! indistinguishable from the bare store under any interleaving of
 //! puts, gets, deletes, batch ops, and scans — including when the
 //! cache budget is tiny enough that the CLOCK hand evicts constantly.
@@ -8,8 +8,8 @@
 //! behaviour (e.g. out-of-space under an overfilled pool) must match
 //! exactly, not just their happy paths.
 
-use e2nvm_core::{E2Config, E2Engine};
-use e2nvm_kvstore::{CacheConfig, CachedKvStore, E2KvStore, NvmKvStore};
+use e2nvm_core::{E2Config, E2Engine, ShardedEngine};
+use e2nvm_kvstore::{CacheConfig, CachedKvStore, NvmKvStore, ShardedE2KvStore};
 use e2nvm_sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -47,9 +47,12 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// A small trained E2 store; every call with the same arguments builds
-/// an identical twin (seeded device content, seeded engine).
-fn twin_store(segments: usize, seg_bytes: usize) -> E2KvStore {
+/// A small trained one-shard E2 store; every call with the same
+/// arguments builds an identical twin (seeded device content, seeded
+/// engine). `retrain_min_free(0)` starts a background retrain only once
+/// a cluster's free list is empty; a model swap moves placement, never
+/// a value or an error, which is all the twins compare.
+fn twin_store(segments: usize, seg_bytes: usize) -> ShardedE2KvStore {
     let dev = NvmDevice::new(
         DeviceConfig::builder()
             .segment_bytes(seg_bytes)
@@ -61,6 +64,7 @@ fn twin_store(segments: usize, seg_bytes: usize) -> E2KvStore {
         .fast(seg_bytes, 2)
         .pretrain_epochs(4)
         .joint_epochs(1)
+        .retrain_min_free(0)
         .padding_type(e2nvm_core::PaddingType::Zero)
         .build()
         .unwrap();
@@ -77,7 +81,7 @@ fn twin_store(segments: usize, seg_bytes: usize) -> E2KvStore {
             .unwrap();
     }
     engine.train().unwrap();
-    E2KvStore::new(engine)
+    ShardedE2KvStore::new(ShardedEngine::new(vec![engine]))
 }
 
 /// Errors compared by display text: the twins run identical engines,

@@ -12,7 +12,7 @@
 //!   the [`crate::MemoryController`] owns the (possibly non-identity)
 //!   translation between the two, published as a [`SegmentRemap`].
 //!
-//! Before this split both spaces shared one `usize`-backed `SegmentId`,
+//! Before this split both spaces shared one untyped `usize` segment id,
 //! and the retirement path quarantined *logical* ids — which silently
 //! assumed the identity mapping and broke the moment a wear-leveling
 //! policy relocated a segment (DESIGN.md §10). With distinct newtypes
@@ -96,19 +96,6 @@ impl From<PhysicalSegment> for usize {
         s.0
     }
 }
-
-/// The deprecated untyped segment id of the pre-translation-layer API.
-///
-/// It aliases [`LogicalSegment`] because every pre-existing public use
-/// (engine, DAP, store, snapshots) was semantically logical; device
-/// entry points now take [`PhysicalSegment`]. Kept for one release as a
-/// migration shim.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LogicalSegment` (software address space) or \
-            `PhysicalSegment` (device address space) explicitly"
-)]
-pub type SegmentId = LogicalSegment;
 
 /// The controller-owned logical→physical translation table and its
 /// inverse, queryable by any layer that needs to cross address spaces

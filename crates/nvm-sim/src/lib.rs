@@ -74,8 +74,6 @@ pub mod telemetry;
 pub mod trace;
 pub mod wear_leveling;
 
-#[allow(deprecated)]
-pub use addr::SegmentId;
 pub use addr::{LogicalSegment, PhysicalSegment, SegmentRemap};
 pub use config::{DeviceConfig, DeviceConfigBuilder, WearTracking};
 pub use controller::{ControllerState, MemoryController};

@@ -7,7 +7,7 @@
 //! cargo run --release --example persistent_service
 //! ```
 
-use e2nvm::core::{E2Config, E2Engine, SharedEngine};
+use e2nvm::core::{E2Config, E2Engine, ShardedEngine};
 use e2nvm::sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use e2nvm::workloads::DatasetKind;
 use rand::rngs::StdRng;
@@ -46,7 +46,9 @@ fn main() {
     println!("boot #1: training the placement model...");
     engine.train().expect("train");
 
-    let shared = SharedEngine::new(engine);
+    // One shard: a single engine behind one mutex, with its own
+    // background retrainer.
+    let shared = ShardedEngine::new(vec![engine]);
     println!("serving from 4 threads...");
     let handles: Vec<_> = (0..4u64)
         .map(|t| {
@@ -76,7 +78,7 @@ fn main() {
 
     // ---------- shutdown: persist model + device image ----------
     // Single-artifact file helpers from the `e2nvm::persist` facade.
-    shared.with_engine(|engine| {
+    shared.with_shard_engine(0, |engine| {
         e2nvm::persist::save_model(engine.model().expect("trained"), &model_path)
             .expect("save model");
         e2nvm::persist::save_device(engine.controller().device(), &image_path).expect("save image");

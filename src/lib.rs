@@ -71,11 +71,10 @@ pub mod prelude {
     pub use e2nvm_cluster::{ClusterClient, ClusterConfig, ClusterView, NodeState};
     pub use e2nvm_core::{
         E2Config, E2ConfigBuilder, E2Engine, E2Error, PaddingLocation, PaddingType, ShardedEngine,
-        SharedEngine,
     };
     pub use e2nvm_kvstore::{
-        CacheConfig, CacheConfigBuilder, CacheStats, CachedKvStore, E2KvStore, HotCache,
-        NvmKvStore, ShardedE2KvStore, StoreError,
+        CacheConfig, CacheConfigBuilder, CacheStats, CachedKvStore, HotCache, NvmKvStore,
+        ShardedE2KvStore, StoreError,
     };
     pub use e2nvm_persist::{FlushPolicy, PersistenceConfig, PersistenceConfigBuilder};
     pub use e2nvm_server::{Client, Server, ServerConfig, ServerConfigBuilder, ServerHandle};

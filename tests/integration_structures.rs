@@ -2,9 +2,10 @@
 //! YCSB generator, bare and plugged into E2-NVM, through the umbrella
 //! crate's public API.
 
-use e2nvm::core::{E2Config, E2Engine, PaddingType};
+use e2nvm::core::{E2Config, E2Engine, PaddingType, ShardedEngine};
 use e2nvm::kvstore::{
-    BPlusTree, DirectNodeStore, E2NodeStore, FpTree, NoveLsm, NvmKvStore, PathHashing, WiscKey,
+    BPlusTree, DirectNodeStore, E2NodeStore, FpTree, NoveLsm, NvmKvStore, PathHashing,
+    ShardedE2KvStore, WiscKey,
 };
 use e2nvm::sim::{DeviceConfig, LogicalSegment, MemoryController, NvmDevice};
 use e2nvm::workloads::{DatasetKind, Operation, Ycsb};
@@ -118,11 +119,10 @@ fn all_structures_survive_ycsb_plugged_into_e2() {
     }
 }
 
-/// Mixed dataset values flow through the batched writer and the shared
-/// engine without loss.
+/// Mixed dataset values flow through the one-shard store's packed batch
+/// path without loss.
 #[test]
-fn batched_writer_with_dataset_values() {
-    use e2nvm::core::BatchedWriter;
+fn batched_puts_with_dataset_values() {
     let mut controller = MemoryController::without_wear_leveling(device());
     let mut rng = StdRng::seed_from_u64(5);
     let residents = DatasetKind::PubMed.generate_sized(SEGMENTS, SEGMENT, &mut rng);
@@ -133,32 +133,34 @@ fn batched_writer_with_dataset_values() {
         .fast(SEGMENT, 4)
         .pretrain_epochs(5)
         .joint_epochs(1)
+        .retrain_min_free(0)
         .padding_type(PaddingType::Zero)
         .build()
         .unwrap();
     let mut engine = E2Engine::new(controller, cfg).unwrap();
     engine.train().unwrap();
-    let mut writer = BatchedWriter::new(engine);
+    let mut store = ShardedE2KvStore::new(ShardedEngine::new(vec![engine]));
 
     let small_values: Vec<Vec<u8>> = (0..64)
         .map(|i| (0..20).map(|b| (i * 7 + b) as u8).collect())
         .collect();
+    let pairs: Vec<(u64, &[u8])> = small_values
+        .iter()
+        .enumerate()
+        .map(|(key, v)| (key as u64, v.as_slice()))
+        .collect();
+    assert!(store.put_many(&pairs).iter().all(Result::is_ok));
     for (key, v) in small_values.iter().enumerate() {
-        writer.put(key as u64, v).unwrap();
-    }
-    writer.flush().unwrap();
-    for (key, v) in small_values.iter().enumerate() {
-        assert_eq!(&writer.get(key as u64).unwrap(), v, "key {key}");
+        assert_eq!(&store.get(key as u64).unwrap().unwrap(), v, "key {key}");
     }
     // ~64 values of 20 B in 128 B batches -> about 11 placements.
-    let writes = writer.engine().device_stats().writes;
+    let writes = store.stats().writes;
     assert!(writes <= 16, "batching ineffective: {writes} writes");
 }
 
 /// A store driven by values from each dataset generator round-trips.
 #[test]
 fn datasets_roundtrip_through_e2_kv() {
-    use e2nvm::kvstore::E2KvStore;
     let mut controller = MemoryController::without_wear_leveling(device());
     let mut rng = StdRng::seed_from_u64(17);
     let residents = DatasetKind::CifarLike.generate_sized(SEGMENTS, SEGMENT, &mut rng);
@@ -169,12 +171,13 @@ fn datasets_roundtrip_through_e2_kv() {
         .fast(SEGMENT, 4)
         .pretrain_epochs(5)
         .joint_epochs(1)
+        .retrain_min_free(0)
         .padding_type(PaddingType::Zero)
         .build()
         .unwrap();
     let mut engine = E2Engine::new(controller, cfg).unwrap();
     engine.train().unwrap();
-    let mut store = E2KvStore::new(engine);
+    let mut store = ShardedE2KvStore::new(ShardedEngine::new(vec![engine]));
 
     let mut key = 0u64;
     for kind in DatasetKind::ALL {
